@@ -73,57 +73,116 @@ def _solve_list_coloring(n: int, adj: tuple[int, ...], list_masks: list[int]) ->
 
     Vertex choice is fewest-remaining-colors with lowest index as the tie
     break; colors are tried in ascending order, removing each choice from
-    uncolored neighbors.
+    uncolored neighbors. The search keeps an explicit stack, so its depth
+    is not bounded by the interpreter's recursion limit.
+
+    Pigeonhole cut: at every node the uncolored vertices are split greedily
+    into cliques (the lowest uncolored vertex, grown through common
+    neighbors in ascending order, then the same on what is left). A clique
+    whose members' remaining lists together hold fewer colors than it has
+    members would need two equal colors on adjacent vertices, so the node
+    has no completion and is cut. The cut removes only subtrees without a
+    coloring and leaves the vertex and color order alone, so the search
+    reaches the same first coloring as plain backtracking, only sooner: a
+    pinned instance of the pasting verifier, whose clique B keeps |B|-1
+    colors once A's colors propagate, now dies at that node instead of
+    after enumerating B.
     """
+    if not all(list_masks):
+        return None
     remaining = list(list_masks)
+    palette_size = max(list_masks, default=0).bit_length()
     color = [-1] * n
-
-    def solve(uncolored: int) -> bool:
-        if not uncolored:
-            return True
-        best, best_size = -1, None
-        for v in bits(uncolored):
-            size = remaining[v].bit_count()
-            if size == 0:
-                return False
-            if best_size is None or size < best_size:
-                best, best_size = v, size
-        v = best
-        avail = remaining[v]
-        for c in bits(avail):
-            cbit = 1 << c
-            color[v] = c
-            touched = 0
-            dead = False
-            for u in bits(adj[v] & uncolored):
-                if u != v and remaining[u] & cbit:
-                    remaining[u] ^= cbit
-                    touched |= 1 << u
-                    if not remaining[u]:
-                        dead = True
-            if not dead and solve(uncolored ^ (1 << v)):
-                return True
-            for u in bits(touched):
-                remaining[u] |= cbit
+    uncolored = (1 << n) - 1
+    # one frame per colored vertex: [vertex, colors still to try,
+    # bit of its current color, neighbors that lost that color]
+    stack: list[list[int]] = []
+    descend = True
+    while True:
+        if descend:
+            if not uncolored:
+                return color
+            rest = uncolored
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                union = remaining[w]
+                members = 1
+                common = adj[w] & rest
+                while common:
+                    low = common & -common
+                    rest ^= low
+                    u = low.bit_length() - 1
+                    common &= adj[u]
+                    union |= remaining[u]
+                    members += 1
+                if union.bit_count() < members:
+                    break
+            else:
+                # every list is nonempty here, so a singleton is the minimum
+                best, best_size = -1, palette_size + 1
+                scan = uncolored
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    u = low.bit_length() - 1
+                    size = remaining[u].bit_count()
+                    if size < best_size:
+                        best, best_size = u, size
+                        if size == 1:
+                            break
+                uncolored ^= 1 << best
+                stack.append([best, remaining[best], 0, 0])
+        # try the next color of the vertex on top of the stack
+        if not stack:
+            return None
+        frame = stack[-1]
+        v, untried, cbit, touched = frame
+        while touched:
+            low = touched & -touched
+            remaining[low.bit_length() - 1] |= cbit
+            touched ^= low
+        if not untried:
+            stack.pop()
             color[v] = -1
-        return False
-
-    if solve((1 << n) - 1):
-        return color
-    return None
+            uncolored |= 1 << v
+            descend = False
+            continue
+        cbit = untried & -untried
+        color[v] = cbit.bit_length() - 1
+        descend = True
+        nbrs = adj[v] & uncolored
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            u = low.bit_length() - 1
+            if remaining[u] & cbit:
+                remaining[u] ^= cbit
+                touched |= low
+                if not remaining[u]:
+                    descend = False
+        frame[1] = untried ^ cbit
+        frame[2] = cbit
+        frame[3] = touched
 
 
 def is_l_colorable(G: Graph, L: ListAssignment) -> Coloring | None:
     """A proper coloring with c(v) in L(v), or None.
 
     Exact backtracking choosing next the vertex with fewest remaining
-    feasible colors, with color-set propagation to neighbors.
+    feasible colors, with color-set propagation to neighbors and the
+    pigeonhole cut on greedy cliques (see ``_solve_list_coloring``). The
+    cut only discards nodes with no coloring below them, so the coloring
+    returned is the first one in the fixed vertex and color order, the
+    same one plain backtracking returns.
     """
     if len(L.lists) != G.n:
         raise ValueError("need one color list per vertex")
     palette = sorted(set().union(*L.lists)) if G.n else []
-    index = {c: i for i, c in enumerate(palette)}
-    masks = [sum(1 << index[c] for c in s) for s in L.lists]
+    bit = {c: 1 << i for i, c in enumerate(palette)}
+    # the bits of one list are distinct, so their sum is their union
+    masks = [sum(map(bit.__getitem__, s)) for s in L.lists]
     solved = _solve_list_coloring(G.n, G.adj, masks)
     if solved is None:
         return None

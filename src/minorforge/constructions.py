@@ -5,7 +5,7 @@ rejection-sampled almost-complete minor-free gadgets."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -340,10 +340,8 @@ def build_thm_conn_gadget(
             continue
         a_mask = _lowest_indices_mask(a_count)
         b_mask = ((1 << (a_count + b_count)) - 1) ^ a_mask
-        realized = max(
-            (a_count - (F.adj[b] & a_mask).bit_count() for b in bits(b_mask)), default=0
-        )
-        part = TwoCliquePartition(F, a_mask, b_mask, realized)
+        part = TwoCliquePartition(F, a_mask, b_mask, 0)
+        part = replace(part, slack=part.realized_slack())
         part.validate()
         return GadgetResult(F, part, attempt + 1, rejections, seed)
     return GadgetResult(None, None, attempts, rejections, seed)

@@ -12,15 +12,21 @@ class BudgetExceededError(RuntimeError):
 
 
 def guard_limit(default: int) -> int:
-    """Effective guard limit, scaled by the FORGE_GUARD_OVERRIDE multiplier."""
+    """Effective guard limit, scaled by the FORGE_GUARD_OVERRIDE multiplier.
+
+    The multiplier must be a positive integer; any other value raises
+    ValueError rather than silently leaving the limits as they are.
+    """
     raw = os.environ.get("FORGE_GUARD_OVERRIDE")
     if not raw:
         return default
     try:
         factor = int(raw)
     except ValueError:
-        return default
-    return default * max(1, factor)
+        factor = 0
+    if factor < 1:
+        raise ValueError(f"FORGE_GUARD_OVERRIDE must be a positive integer, not {raw!r}")
+    return default * factor
 
 
 def check_size(value: int, default_limit: int, what: str) -> None:

@@ -470,7 +470,8 @@ def _inv_delta_sq(delta: Fraction) -> Fraction:
 def constant_D(delta, p) -> Fraction | float:
     """Smallest nice constant strictly above 4 p^(-1/delta^2): a fixed 1% margin.
 
-    Exact rational when 1/delta^2 is an integer, float otherwise.
+    Exact rational when 1/delta^2 is an integer, float otherwise; a float
+    beyond the float range raises ValueError.
     """
     delta, p = Fraction(delta), Fraction(p)
     if not 0 < delta <= 1:
@@ -480,7 +481,11 @@ def constant_D(delta, p) -> Fraction | float:
     exponent = _inv_delta_sq(delta)
     if exponent.denominator == 1:
         return Fraction(101, 100) * 4 * p ** (-exponent.numerator)
-    return 1.01 * 4 * float(p) ** (-float(exponent))
+    try:
+        D = 1.01 * 4 * float(p) ** (-float(exponent))
+    except OverflowError:
+        D = math.inf
+    return _finite(D, f"constant_D at delta={delta}, p={p}")
 
 
 def constant_C(delta, p) -> Fraction | float:
@@ -489,7 +494,14 @@ def constant_C(delta, p) -> Fraction | float:
     D = constant_D(delta, p)
     if isinstance(D, Fraction):
         return D * D / (delta * delta)
-    return D * D / float(delta * delta)
+    return _finite(D * D / float(delta * delta), f"constant_C at delta={delta}, p={p}")
+
+
+def _finite(value: float, what: str) -> float:
+    """The value, or a ValueError naming the float overflow it hit."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} overflows the float range; pass the constant explicitly")
+    return value
 
 
 def q_n_bound(delta, p, D, n: int) -> float:

@@ -47,7 +47,9 @@ def jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """Sorted, compact JSON; a non-finite float raises ValueError instead
+    of writing the non-standard ``Infinity`` or ``NaN``."""
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _strip_volatile(obj):

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the algorithms they check: straight-line
-enumeration over product spaces, subsets, or permutations.
+enumeration over product spaces, subsets, or permutations. The one
+exception is a frozen copy of the plain list-coloring backtracker, kept to
+pin the exact colorings the production solver returns.
 """
 
 from itertools import combinations, permutations, product
@@ -17,6 +19,63 @@ def naive_l_colorable(G: Graph, L: ListAssignment) -> bool:
         if all(choice[u] != choice[v] for u, v in G.edges()):
             return True
     return False if G.n else True
+
+
+def reference_solve_list_coloring(n: int, adj, list_masks: list[int]) -> list[int] | None:
+    """The list-coloring backtracker as it stood before the pigeonhole cut
+    and the explicit stack: recursive, no pruning beyond emptied lists.
+
+    Vertex choice is fewest-remaining-colors with lowest index as the tie
+    break; colors are tried in ascending order. Kept verbatim so that the
+    production solver's returned colorings can be compared against it.
+    """
+    remaining = list(list_masks)
+    color = [-1] * n
+
+    def solve(uncolored: int) -> bool:
+        if not uncolored:
+            return True
+        best, best_size = -1, None
+        for v in bits(uncolored):
+            size = remaining[v].bit_count()
+            if size == 0:
+                return False
+            if best_size is None or size < best_size:
+                best, best_size = v, size
+        v = best
+        avail = remaining[v]
+        for c in bits(avail):
+            cbit = 1 << c
+            color[v] = c
+            touched = 0
+            dead = False
+            for u in bits(adj[v] & uncolored):
+                if u != v and remaining[u] & cbit:
+                    remaining[u] ^= cbit
+                    touched |= 1 << u
+                    if not remaining[u]:
+                        dead = True
+            if not dead and solve(uncolored ^ (1 << v)):
+                return True
+            for u in bits(touched):
+                remaining[u] |= cbit
+            color[v] = -1
+        return False
+
+    if solve((1 << n) - 1):
+        return color
+    return None
+
+
+def reference_is_l_colorable(G: Graph, L: ListAssignment) -> tuple[int, ...] | None:
+    """``is_l_colorable`` on top of the reference backtracker."""
+    palette = sorted(set().union(*L.lists)) if G.n else []
+    index = {c: i for i, c in enumerate(palette)}
+    masks = [sum(1 << index[c] for c in s) for s in L.lists]
+    solved = reference_solve_list_coloring(G.n, G.adj, masks)
+    if solved is None:
+        return None
+    return tuple(palette[i] for i in solved)
 
 
 def brute_vertex_connectivity(G: Graph) -> int:

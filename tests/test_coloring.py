@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -14,18 +15,21 @@ from minorforge.coloring import (
     respects_lists,
     verify_choosability_witness,
 )
+from minorforge.constructions import TwoCliquePartition, adversarial_lists_for_copy
 from minorforge.errors import SizeGuardError
 from minorforge.graphs import (
+    Graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     degeneracy,
     empty_graph,
+    mask_of,
     path_graph,
 )
 
-from .conftest import random_graph_corpus
-from .oracles import naive_l_colorable, naive_not_k_choosable
+from .conftest import random_graph, random_graph_corpus
+from .oracles import naive_l_colorable, naive_not_k_choosable, reference_is_l_colorable
 
 
 def lists_of(*colors_per_vertex):
@@ -77,6 +81,88 @@ class TestIsLColorable:
             big = ListAssignment.from_lists(grown)
             if is_l_colorable(G, small) is not None:
                 assert is_l_colorable(G, big) is not None
+
+    def test_long_path_does_not_recurse(self):
+        # one stack frame per colored vertex used to overflow the
+        # interpreter stack near 1000 vertices
+        n = 1500
+        got = is_l_colorable(path_graph(n), ListAssignment.uniform(n, range(2)))
+        assert got == tuple(v % 2 for v in range(n))
+
+    def test_clique_one_color_short_is_cut(self):
+        # the pigeonhole cut decides this at the root; plain backtracking
+        # walks about 15! nodes before giving up
+        assert is_l_colorable(complete_graph(16), ListAssignment.uniform(16, range(15))) is None
+        assert chromatic_number(complete_graph(16)) == 16
+
+
+def random_two_clique_partition(rng: random.Random) -> TwoCliquePartition:
+    """A valid partition on shuffled labels: cliques A and B, each B-vertex
+    missing at most ``slack`` of its A-neighbors."""
+    a, b = rng.randint(1, 4), rng.randint(1, 5)
+    slack = rng.randint(0, a)
+    labels = list(range(a + b))
+    rng.shuffle(labels)
+    A, B = labels[:a], labels[a:]
+    edges = list(combinations(A, 2)) + list(combinations(B, 2))
+    for y in B:
+        missing = rng.sample(A, rng.randint(0, slack))
+        edges += [(x, y) for x in A if x not in missing]
+    part = TwoCliquePartition(Graph.from_edges(a + b, edges), mask_of(A), mask_of(B), slack)
+    part.validate()
+    return part
+
+
+def pinned_instance(part: TwoCliquePartition, rng: random.Random) -> ListAssignment:
+    """The verifier's solve for one injective A-coloring: adversarial lists
+    with every A-vertex pinned to its color."""
+    a_vertices = part.a_vertices()
+    coloring_of_a = dict(zip(a_vertices, rng.sample(range(1, part.universe_size() + 1), len(a_vertices))))
+    pinned = list(adversarial_lists_for_copy(part, coloring_of_a).lists)
+    for a, c in coloring_of_a.items():
+        pinned[a] = frozenset({c})
+    return ListAssignment(tuple(pinned))
+
+
+class TestSolverAgainstReference:
+    """The pruned, stack-based solver returns exactly the coloring (or None)
+    of the plain recursive backtracker kept in tests/oracles.py, so every
+    witness and report built on it is unchanged."""
+
+    def test_random_lists(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            G = random_graph(rng, rng.randint(0, 10), rng.choice([0.15, 0.3, 0.5, 0.7, 0.85]))
+            palette = range(rng.randint(1, 6))
+            lists = [rng.sample(palette, rng.randint(0 if rng.random() < 0.02 else 1, len(palette)))
+                     for _ in range(G.n)]
+            L = ListAssignment.from_lists(lists)
+            assert is_l_colorable(G, L) == reference_is_l_colorable(G, L)
+
+    def test_uniform_lists(self):
+        rng = random.Random(2025)
+        for _ in range(1500):
+            G = random_graph(rng, rng.randint(1, 10), rng.choice([0.3, 0.5, 0.7, 0.85]))
+            L = ListAssignment.uniform(G.n, range(rng.randint(1, G.n)))
+            assert is_l_colorable(G, L) == reference_is_l_colorable(G, L)
+
+    def test_pinned_pasting_instances(self):
+        rng = random.Random(2026)
+        colorable = 0
+        for _ in range(1000):
+            part = random_two_clique_partition(rng)
+            L = pinned_instance(part, rng)
+            assert is_l_colorable(part.graph, L) is None
+            assert reference_is_l_colorable(part.graph, L) is None
+            # one missing B-edge lets B use the |B|-1 colors A leaves free
+            G = part.graph
+            if part.b_mask.bit_count() >= 2:
+                u, v = rng.sample(part.b_vertices(), 2)
+                G = Graph.from_edges(G.n, [e for e in G.edges() if set(e) != {u, v}])
+            got = is_l_colorable(G, L)
+            assert got == reference_is_l_colorable(G, L)
+            colorable += got is not None
+        assert colorable > 300
 
 
 class TestChoosabilityWitness:

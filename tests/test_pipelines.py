@@ -118,6 +118,12 @@ class TestPipelineRandom:
         assert report.certified_bound == 5  # |A|+|B| - floor(delta*n) = 3+3-1
         assert all(r["ok"] for r in replay_report(report.to_dict()))
 
+    def test_derived_defaults_overflow_cleanly(self):
+        # at n=8, epsilon=1/2 the derived C is beyond the float range; it used
+        # to surface as an OverflowError from Fraction(inf)
+        with pytest.raises(ValueError, match="overflows"):
+            pipeline_random(8, Fraction(1, 2), None, small_cfg())
+
     def test_delta_grid(self):
         assert _delta_from_epsilon(Fraction(4, 5)) == Fraction(11, 100)
         assert _delta_from_epsilon(Fraction(71, 100)) == Fraction(10, 100)
@@ -208,6 +214,11 @@ class TestReportsAndConfig:
     def test_canonical_json_floats(self):
         assert canonical_json({"x": 0.1 + 0.2}) == '{"x":0.3}'
 
+    def test_canonical_json_refuses_non_finite(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                canonical_json({"x": bad})
+
     def test_write_run_dir(self, tmp_path):
         report = mader_step_check(complete_graph(4))
         out = write_run_dir(report, tmp_path / "run")
@@ -241,3 +252,41 @@ class TestReportsAndConfig:
         assert report.pipeline == "mader"
         with pytest.raises(ValueError, match="unknown pipeline"):
             run_pipeline(ExperimentConfig(pipeline="nope"))
+
+
+README_OVERRIDES = {"delta": Fraction(1, 10), "p": Fraction(1, 20), "D": Fraction(2)}
+
+# Determinism hashes of fixed-seed runs, taken before the list-coloring
+# solver gained its pigeonhole cut and explicit stack. A speed-up of the
+# solvers must leave every report byte-identical; a deliberate change of
+# report content updates these values and says so in CHANGES.md.
+PINNED_REPORTS = {
+    "conn-K8": (
+        lambda: pipeline_conn(complete_graph(8), Fraction(1, 4), ExperimentConfig(seed=7)),
+        "e058c54ab602e5e27e3aaa0be6002c8417614cb564d4b3e599a03e14a2404bf9",
+    ),
+    "conn-K10": (
+        lambda: pipeline_conn(complete_graph(10), Fraction(1, 4), ExperimentConfig(seed=7)),
+        "7f8db8897263384df67ec9483fc2ac91e38dd54437b7523ae5affa09a493e710",
+    ),
+    "random-n8": (
+        lambda: pipeline_random(8, Fraction(4, 5), README_OVERRIDES, ExperimentConfig(seed=42)),
+        "fb2b94e036d8e9f047a63f63b83965268d0e195f917395e4ecd773a1dc45817d",
+    ),
+    "isolated-K3-k3": (
+        lambda: pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7)),
+        "9954f61fa951cfa5744ff013ebc9c0f24f3d655d3e2eb4b29b15e52ce0eedac8",
+    ),
+    "mader-K6": (
+        lambda: mader_step_check(complete_graph(6)),
+        "4ce234103f2dc98e8aff87fc99c6feac537fd70fb11326cde0bc2f0bbe52463d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_determinism_hash(name):
+    run, expected = PINNED_REPORTS[name]
+    data = run().to_dict()
+    assert data["determinism_hash"] == expected
+    assert all(r["ok"] for r in replay_report(data))

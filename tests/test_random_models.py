@@ -236,6 +236,14 @@ class TestBounds:
                 assert isinstance(D, Fraction)
                 assert constant_C(delta, p) == D * D / (delta * delta)
 
+    def test_constants_overflow_raises(self):
+        # 1/delta^2 is not an integer here, so D and C are floats
+        with pytest.raises(ValueError, match="constant_D.*overflows"):
+            constant_D(Fraction(3, 100), Fraction(3, 200))
+        assert constant_D(Fraction(7, 100), Fraction(7, 200)) > 1e297
+        with pytest.raises(ValueError, match="constant_C.*overflows"):
+            constant_C(Fraction(7, 100), Fraction(7, 200))
+
     def test_q_n_exponent_sign(self):
         for delta in (Fraction(1), Fraction(1, 2)):
             for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
