@@ -18,17 +18,11 @@ from .constructions import (
     check_pasting_lower_bound,
     k_fold_pasting,
 )
-from .errors import BudgetExceededError, SizeGuardError
-from .graphio import load_graph_text, to_graph6
-from .graphs import Graph, mask_of
+from .errors import OPERATION_ERRORS
+from .graphio import load_graph, to_graph6
+from .graphs import mask_of
 from .minors import contains_minor, hadwiger_number, verify_model
-from .pipelines import (
-    mader_step_check,
-    pipeline_conn,
-    pipeline_isolated,
-    pipeline_random,
-    replay_report,
-)
+from .pipelines import replay_report, run_pipeline
 from .random_models import (
     PropertyPParams,
     PropertyQParams,
@@ -48,13 +42,6 @@ from .random_models import (
 from .reports import ExperimentConfig, jsonable, load_report_dict, write_run_dir
 
 
-def _load_graph(value: str) -> Graph:
-    path = Path(value)
-    if path.exists():
-        return load_graph_text(path.read_text())
-    return load_graph_text(value)
-
-
 def _emit(payload) -> None:
     click.echo(json.dumps(jsonable(payload), sort_keys=True, indent=2))
 
@@ -72,7 +59,7 @@ def forge_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (SizeGuardError, BudgetExceededError, ValueError, RuntimeError, OSError) as exc:
+        except OPERATION_ERRORS as exc:
             raise click.ClickException(str(exc)) from exc
 
     return wrapper
@@ -134,7 +121,7 @@ def sample_bipartite_cmd(m, n, p, seed):
 @forge_errors
 def check_minor_cmd(host, pattern, hadwiger):
     """Exact minor containment with a verified branch-set witness."""
-    G, H = _load_graph(host), _load_graph(pattern)
+    G, H = load_graph(host), load_graph(pattern)
     model = contains_minor(G, H)
     payload = {"contains": model is not None}
     if model is not None:
@@ -153,7 +140,7 @@ def check_minor_cmd(host, pattern, hadwiger):
 @forge_errors
 def check_choosability_cmd(graph, lists_path, k, exact_chi_l):
     """List-colorability of one instance, or the exact list chromatic number."""
-    G = _load_graph(graph)
+    G = load_graph(graph)
     payload = {}
     if lists_path is not None:
         L = ListAssignment.from_json(Path(lists_path).read_text())
@@ -189,7 +176,7 @@ def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
     """Edge spread between all pairs of linear-size disjoint vertex sets."""
     if mode == "falsify" and seed is None:
         raise click.UsageError("falsify mode requires --seed")
-    H = _load_graph(graph)
+    H = load_graph(graph)
     params = PropertyQParams(Fraction(delta), Fraction(D))
     report = check_property_Q(H, params, mode, pairs=pairs, budget=budget, seed=seed)
     _emit({
@@ -216,7 +203,7 @@ def check_property_p_cmd(graph, bip_path, delta, s, mode, k_l_range, budget, nod
     """Joined-pair property of a bipartite host against a pattern graph."""
     if mode == "falsify" and seed is None:
         raise click.UsageError("falsify mode requires --seed")
-    H = _load_graph(graph)
+    H = load_graph(graph)
     text = Path(bip_path).read_text() if Path(bip_path).exists() else bip_path
     spec = json.loads(text)
     from .graphs import BipartiteGraph
@@ -290,7 +277,7 @@ def bounds_constants_cmd(delta, p, n):
 @forge_errors
 def pasting_cmd(graph, attach, copies):
     """Materialize the K-fold pasting of a graph at an attachment set."""
-    F = _load_graph(graph)
+    F = load_graph(graph)
     spec = PastingSpec(F, mask_of(_vertex_list(attach)), copies)
     pasted = k_fold_pasting(spec)
     _emit({
@@ -310,7 +297,7 @@ def pasting_cmd(graph, attach, copies):
 @forge_errors
 def verify_pasting_bound_cmd(graph, part_a, part_b, slack):
     """Certify the pasting lower bound without materializing the pasting."""
-    F = _load_graph(graph)
+    F = load_graph(graph)
     part = TwoCliquePartition(F, mask_of(_vertex_list(part_a)), mask_of(_vertex_list(part_b)), slack)
     check = check_pasting_lower_bound(part)
     _emit({
@@ -362,8 +349,7 @@ def pipeline_conn_cmd(graph, epsilon, seed, attempts, config_path, out):
         raise click.UsageError("pipeline conn needs --graph and --epsilon (or a config providing them)")
     if cfg.seed is None:
         raise click.UsageError("pipeline conn is randomized and requires --seed")
-    report = pipeline_conn(_load_graph(cfg.graph), Fraction(str(cfg.params["epsilon"])), cfg)
-    _finish_pipeline(report, out or cfg.output_dir)
+    _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
 
 
 @pipeline.command("random")
@@ -384,21 +370,14 @@ def pipeline_random_cmd(n, epsilon, delta, p, D, seed, attempts, config_path, ou
     if seed is not None:
         cfg.seed = seed
     cfg.attempts = attempts
-    params = dict(cfg.params)
-    if n is not None:
-        params["n"] = n
-    if epsilon is not None:
-        params["epsilon"] = epsilon
-    for key, value in (("delta", delta), ("p", p), ("D", D)):
+    for key, value in (("n", n), ("epsilon", epsilon), ("delta", delta), ("p", p), ("D", D)):
         if value is not None:
-            params[key] = value
-    if "n" not in params or "epsilon" not in params:
+            cfg.params[key] = value
+    if "n" not in cfg.params or "epsilon" not in cfg.params:
         raise click.UsageError("pipeline random needs -n and --epsilon (or a config providing them)")
     if cfg.seed is None:
         raise click.UsageError("pipeline random is randomized and requires --seed")
-    overrides = {k: Fraction(str(params[k])) for k in ("delta", "p", "D", "C") if k in params}
-    report = pipeline_random(int(params["n"]), Fraction(str(params["epsilon"])), overrides, cfg)
-    _finish_pipeline(report, out or cfg.output_dir)
+    _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
 
 
 @pipeline.command("isolated")
@@ -428,8 +407,7 @@ def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path
         raise click.UsageError("pipeline isolated needs --graph and -k (or a config providing them)")
     if cfg.seed is None:
         raise click.UsageError("pipeline isolated is randomized and requires --seed")
-    report = pipeline_isolated(_load_graph(cfg.graph), int(cfg.params["k"]), cfg)
-    _finish_pipeline(report, out or cfg.output_dir)
+    _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
 
 
 @pipeline.command("mader")
@@ -438,8 +416,7 @@ def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path
 @forge_errors
 def pipeline_mader_cmd(graph, out):
     """Average-degree to connected-subgraph search check (deterministic)."""
-    report = mader_step_check(_load_graph(graph))
-    _finish_pipeline(report, out)
+    _finish_pipeline(run_pipeline(ExperimentConfig(pipeline="mader", graph=graph)), out)
 
 
 @main.command("replay")

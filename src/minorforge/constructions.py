@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .coloring import ListAssignment, is_l_colorable
 from .errors import check_size
@@ -17,11 +16,9 @@ from .graphs import (
     bipartite_union_complement,
     bit_list,
     bits,
-    induced_subgraph,
     is_clique,
-    mask_of,
 )
-from .minors import contains_minor
+from .minors import contains_minor, find_induced_pattern_minor
 from .random_models import sample_bipartite
 
 PASTING_MAX_VERTICES = 4096
@@ -174,7 +171,11 @@ def adversarial_lists_for_copy(part: TwoCliquePartition, coloring_of_a: dict[int
 
 @dataclass
 class PastingBoundCheck:
-    """Outcome of the factored pasting verifier."""
+    """Outcome of the factored pasting verifier.
+
+    ``colorings_checked`` counts the A-colorings the verdict covers: every
+    injective one when the bound is certified, the first one when it is not.
+    """
 
     certified: bool
     bound: int
@@ -189,17 +190,27 @@ def check_pasting_lower_bound(
     """Factored verification that the K-fold pasting of the graph at A needs
     more than |A|+|B|-1-slack colors, for K = (|A|+|B|-1)^|A|.
 
-    Quantifies over every proper coloring of the clique A from the universe
-    (improper ones cannot be the A-restriction of any proper coloring) and
-    asks the exact solver for an extension to B under the adversarial lists
-    of the matching copy. In any proper coloring of the materialized
-    pasting, the restriction to A is proper and matches exactly one copy's
-    planned A-coloring, so an extension inside that copy would exist; all
-    extensions failing therefore certifies the bound without materializing
-    the pasting.
+    In any proper coloring of the materialized pasting, the restriction to
+    the clique A is injective and matches exactly one copy's planned
+    A-coloring, so it would extend inside that copy under the copy's
+    adversarial lists. If no injective A-coloring from the universe extends,
+    the bound holds without materializing the pasting. A must be a clique
+    even with ``check_invariants=False``: otherwise some proper A-colorings
+    are not injective and the argument fails.
+
+    One solve settles all injective A-colorings. Let a_i be the i-th
+    smallest A-vertex and take the canonical coloring a_i -> i. For any
+    injective sigma, a permutation pi of the universe with pi(i) = sigma(a_i)
+    maps the canonical lists and pins onto sigma's (a B-vertex loses the
+    colors of its A-non-neighbors, and pi permutes those colors alike) while
+    the graph stays the same, so either every such pinned instance is
+    colorable or none is. When the bound fails, the counterexample reports
+    the canonical coloring, the lexicographically first injective one.
     """
     if check_invariants:
         part.validate()
+    elif not is_clique(part.graph, part.a_mask):
+        raise ValueError("A does not induce a clique")
     G = part.graph
     a_vertices = part.a_vertices()
     u = part.universe_size()
@@ -207,27 +218,28 @@ def check_pasting_lower_bound(
     if G.n == 0:  # empty gadget: the claimed bound is 0, vacuously certified
         return PastingBoundCheck(certified=True, bound=bound, copies=1, colorings_checked=0)
     copies = u ** len(a_vertices)
-    checked = 0
-    for assignment in permutations(range(1, u + 1), len(a_vertices)):
-        checked += 1
-        coloring_of_a = dict(zip(a_vertices, assignment))
-        lists = adversarial_lists_for_copy(part, coloring_of_a)
-        pinned = list(lists.lists)
-        for a, c in coloring_of_a.items():
-            pinned[a] = frozenset({c})
-        extension = is_l_colorable(G, ListAssignment(tuple(pinned)))
-        if extension is not None:
-            return PastingBoundCheck(
-                certified=False,
-                bound=bound,
-                copies=copies,
-                colorings_checked=checked,
-                counterexample={
-                    "a_coloring": {str(a): c for a, c in coloring_of_a.items()},
-                    "extension": list(extension),
-                },
-            )
-    return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=checked)
+    universe = range(1, u + 1)
+    injective = math.perm(len(universe), len(a_vertices))
+    if not injective:  # B is empty: A has more vertices than there are colors
+        return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=0)
+    coloring_of_a = dict(zip(a_vertices, universe))
+    lists = adversarial_lists_for_copy(part, coloring_of_a)
+    pinned = list(lists.lists)
+    for a, c in coloring_of_a.items():
+        pinned[a] = frozenset({c})
+    extension = is_l_colorable(G, ListAssignment(tuple(pinned)))
+    if extension is None:
+        return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=injective)
+    return PastingBoundCheck(
+        certified=False,
+        bound=bound,
+        copies=copies,
+        colorings_checked=1,
+        counterexample={
+            "a_coloring": {str(a): c for a, c in coloring_of_a.items()},
+            "extension": list(extension),
+        },
+    )
 
 
 def verify_pasting_lower_bound(part: TwoCliquePartition, *, check_invariants: bool = True) -> bool:
@@ -386,12 +398,7 @@ def build_thm_random_gadget(
             rejections.append(f"attempt {attempt}: max degree above delta*n")
             continue
         F = bipartite_union_complement(sample, _lowest_indices_mask(side), _lowest_indices_mask(side))
-        bad = None
-        for combo in combinations(range(n), u_size):
-            pattern = induced_subgraph(H, mask_of(combo))
-            if contains_minor(F, pattern) is not None:
-                bad = combo
-                break
+        bad = find_induced_pattern_minor(F, H, u_size)
         if bad is not None:
             rejections.append(
                 f"attempt {attempt}: gadget contains a minor of the induced pattern on {list(bad)}"

@@ -11,6 +11,11 @@ class BudgetExceededError(RuntimeError):
     """An exact enumeration ran out of its configured node budget."""
 
 
+# Errors an operation raises on bad input, a guard or a budget; the CLI
+# turns them into clean exits and a replay records them per line.
+OPERATION_ERRORS = (SizeGuardError, BudgetExceededError, ValueError, RuntimeError, OSError)
+
+
 def guard_limit(default: int) -> int:
     """Effective guard limit, scaled by the FORGE_GUARD_OVERRIDE multiplier.
 

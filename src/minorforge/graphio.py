@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from .graphs import Graph
 
 
@@ -107,3 +109,11 @@ def load_graph_text(text: str) -> Graph:
             return parse_graph6(text)
         return parse_edge_list(text)
     return parse_graph6(text)
+
+
+def load_graph(value: str) -> Graph:
+    """Load a graph from the file named ``value`` if there is one, else
+    parse ``value`` itself with ``load_graph_text``."""
+    if value and Path(value).exists():
+        return load_graph_text(Path(value).read_text())
+    return load_graph_text(value)

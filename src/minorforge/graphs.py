@@ -35,6 +35,18 @@ def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+def nonempty_submasks(mask: int, limit: int) -> list[int]:
+    """Non-empty submasks of ``mask`` with at most ``limit`` bits, ascending."""
+    out = []
+    s = mask
+    while s:
+        if s.bit_count() <= limit:
+            out.append(s)
+        s = (s - 1) & mask
+    out.reverse()
+    return out
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple loopless undirected graph; adjacency as per-vertex bit rows."""

@@ -18,6 +18,7 @@ from .graphs import (
     is_clique,
     is_connected_subset,
     mask_of,
+    nonempty_submasks,
 )
 
 CONTRACTION_ORACLE_MAX_ORDER = 9
@@ -148,15 +149,6 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
     assigned: list[VertexSet] = []
     reach: list[VertexSet] = []  # host neighborhoods of each assigned branch set
 
-    def submasks_asc(m: int) -> list[int]:
-        out = []
-        s = m
-        while s:
-            out.append(s)
-            s = (s - 1) & m
-        out.reverse()
-        return out
-
     def search(depth: int, avail: VertexSet, tree_edges: int) -> dict[int, VertexSet] | None:
         if depth == pattern.n:
             return {order[i]: assigned[i] for i in range(pattern.n)}
@@ -165,9 +157,7 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
         if max_size < 1:
             return None
         prev_min = (assigned[-1] & -assigned[-1]) if same_class_as_prev[depth] else 0
-        for Z in submasks_asc(avail):
-            if Z.bit_count() > max_size:
-                continue
+        for Z in nonempty_submasks(avail, max_size):
             if (Z & -Z) <= prev_min and prev_min:
                 continue
             if host_e < pattern_e + tree_edges + Z.bit_count() - 1:
@@ -260,7 +250,10 @@ def _refine_key(n: int, adj: tuple[int, ...]) -> tuple:
 
 
 def _spanning_subgraph_iso(pn: int, padj: tuple[int, ...], hn: int, hadj: tuple[int, ...]) -> bool:
-    """Is there a bijection of pattern onto host mapping edges into edges?"""
+    """Is there an injection of pattern into host mapping edges into edges?
+
+    With equal orders it is a bijection, so the host spans the pattern.
+    """
     order = sorted(range(pn), key=lambda v: -padj[v].bit_count())
     image = [-1] * pn
     used = [False] * hn
@@ -277,38 +270,6 @@ def _spanning_subgraph_iso(pn: int, padj: tuple[int, ...], hn: int, hadj: tuple[
             for q in bits(padj[p]):
                 img = image[q]
                 if img >= 0 and not hadj[h] >> img & 1:
-                    ok = False
-                    break
-            if ok:
-                image[p] = h
-                used[h] = True
-                if place(i + 1):
-                    return True
-                used[h] = False
-                image[p] = -1
-        return False
-
-    return place(0)
-
-
-def _subgraph_iso(host: Graph, pattern: Graph) -> bool:
-    """Is the pattern isomorphic to a (not necessarily induced) subgraph?"""
-    order = sorted(range(pattern.n), key=lambda v: -pattern.degree(v))
-    image = [-1] * pattern.n
-    used = [False] * host.n
-
-    def place(i: int) -> bool:
-        if i == pattern.n:
-            return True
-        p = order[i]
-        pdeg = pattern.degree(p)
-        for h in range(host.n):
-            if used[h] or host.degree(h) < pdeg:
-                continue
-            ok = True
-            for q in bits(pattern.adj[p]):
-                img = image[q]
-                if img >= 0 and not host.has_edge(h, img):
                     ok = False
                     break
             if ok:
@@ -366,7 +327,7 @@ def contains_minor_contraction_oracle(
         memo[key] = result
         return result
 
-    if _subgraph_iso(host, pattern):  # cheap sufficient case
+    if _spanning_subgraph_iso(pn, padj, host.n, host.adj):  # cheap sufficient case
         return True
     return rec(host.n, host.adj, host.edge_count())
 
@@ -492,4 +453,18 @@ def find_minimum_minor_support(
             X = mask_of(combo)
             if contains_minor(induced_subgraph(G, X), F) is not None:
                 return X
+    return None
+
+
+def find_induced_pattern_minor(host: Graph, pattern: Graph, size: int) -> tuple[int, ...] | None:
+    """First pattern vertex set X with |X| = size, in lexicographic order,
+    whose induced subgraph is a minor of the host; None if there is none.
+
+    None also settles every larger size: an induced subgraph on more than
+    ``size`` vertices contains one on ``size`` vertices as a subgraph, and a
+    subgraph of a minor is itself a minor.
+    """
+    for combo in combinations(range(pattern.n), size):
+        if contains_minor(host, induced_subgraph(pattern, mask_of(combo))) is not None:
+            return combo
     return None

@@ -7,11 +7,11 @@ registry at the bottom re-derives claims from their stored inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 from .coloring import list_chromatic_number
 from .constructions import (
@@ -22,7 +22,7 @@ from .constructions import (
     check_pasting_lower_bound,
     k_fold_pasting,
 )
-from .errors import check_size
+from .errors import OPERATION_ERRORS, check_size
 from .graphs import (
     Graph,
     add_isolated_vertices,
@@ -34,8 +34,8 @@ from .graphs import (
     mask_of,
     vertex_connectivity,
 )
-from .graphio import parse_graph6, to_graph6
-from .minors import contains_minor
+from .graphio import load_graph, parse_graph6, to_graph6
+from .minors import contains_minor, find_induced_pattern_minor
 from .random_models import PropertyQParams, check_property_Q, constant_C, constant_D, m_of, sample_gnm_uniform
 from .reports import ExperimentConfig, RunReport
 
@@ -46,12 +46,26 @@ MADER_MAX_ORDER = 9
 PASTING_CLOSURE_COPIES = 2
 
 
+def _timed(pipeline):
+    """Record the wall time of the whole run as the report's ``runtime_ms``."""
+
+    @functools.wraps(pipeline)
+    def run(*args, **kwargs) -> RunReport:
+        start = time.perf_counter()
+        report = pipeline(*args, **kwargs)
+        report.runtime_ms = (time.perf_counter() - start) * 1000
+        return report
+
+    return run
+
+
 def _require_seed(seed) -> int:
     if seed is None:
         raise ValueError("randomized pipelines require a seed")
     return int(seed)
 
 
+@_timed
 def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = None) -> RunReport:
     """Connectivity-driven lower-bound pipeline on one graph instance.
 
@@ -63,7 +77,6 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
     """
     cfg = cfg or ExperimentConfig()
     epsilon = Fraction(epsilon)
-    start = time.perf_counter()
     check_size(H.n, PIPELINE_CONN_MAX_ORDER, "graph order for pipeline_conn")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -115,7 +128,6 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
             report.notes.append(
                 "trivial-branch chromatic value exceeds the exact-solver guard; not certified"
             )
-        report.runtime_ms = (time.perf_counter() - start) * 1000
         return report
 
     if epsilon >= Fraction(1, 2):
@@ -132,7 +144,6 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
     if not result.found:
         report.verdict = "gadget-not-found"
         report.notes.append("rejection sampling exhausted its attempt budget; outcome reported, not raised")
-        report.runtime_ms = (time.perf_counter() - start) * 1000
         return report
     F, part = result.graph, result.partition
     g6F = to_graph6(F)
@@ -198,7 +209,6 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
         )
     else:
         report.verdict = "bound-not-certified"
-    report.runtime_ms = (time.perf_counter() - start) * 1000
     return report
 
 
@@ -213,6 +223,7 @@ def _delta_from_epsilon(epsilon: Fraction) -> Fraction:
     return Fraction(k, 100)
 
 
+@_timed
 def pipeline_random(
     n: int, epsilon: Fraction, overrides: dict | None = None, cfg: ExperimentConfig | None = None
 ) -> RunReport:
@@ -227,7 +238,6 @@ def pipeline_random(
     """
     cfg = cfg or ExperimentConfig()
     overrides = overrides or {}
-    start = time.perf_counter()
     if n < 2:
         raise ValueError("n must be at least 2 (log n degenerates below)")
     check_size(n, PIPELINE_RANDOM_MAX_ORDER, "instance size for pipeline_random")
@@ -283,30 +293,21 @@ def pipeline_random(
     if not result.found:
         report.verdict = "gadget-not-found"
         report.notes.append("rejection sampling exhausted its attempt budget; outcome reported, not raised")
-        report.runtime_ms = (time.perf_counter() - start) * 1000
         return report
 
     F, part = result.graph, result.partition
     g6F = to_graph6(F)
+    # The builder accepts F only after find_induced_pattern_minor(F, H, u_min)
+    # found nothing, which settles every induced pattern on >= u_min vertices.
     u_min = math.ceil((1 - delta) * n)
-    sweep_ok = True
-    for size in range(u_min, n + 1):
-        for combo in combinations(range(n), size):
-            pattern = induced_subgraph(H, mask_of(combo))
-            if contains_minor(F, pattern) is not None:
-                sweep_ok = False
-                break
-        if not sweep_ok:
-            break
-    report.add_step("induced-minor-sweep", "verified" if sweep_ok else "violated", {"u_min": u_min})
-    if sweep_ok:
-        report.certify(
-            f"the gadget has no minor of any induced pattern subgraph on >= {u_min} vertices",
-            "minor_free_all_induced",
-            {"host": g6F, "pattern": g6H, "min_size": u_min},
-            True,
-            exhaustive=True,
-        )
+    report.add_step("induced-minor-sweep", "verified", {"u_min": u_min})
+    report.certify(
+        f"the gadget has no minor of any induced pattern subgraph on >= {u_min} vertices",
+        "minor_free_all_induced",
+        {"host": g6F, "pattern": g6H, "min_size": u_min},
+        True,
+        exhaustive=True,
+    )
 
     closure_spec = PastingSpec(F, part.a_mask, PASTING_CLOSURE_COPIES)
     pasted = k_fold_pasting(closure_spec)
@@ -342,10 +343,10 @@ def pipeline_random(
         )
     else:
         report.verdict = "bound-not-certified"
-    report.runtime_ms = (time.perf_counter() - start) * 1000
     return report
 
 
+@_timed
 def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> RunReport:
     """Isolated-vertex padding pipeline: sampled degeneracy evidence.
 
@@ -358,7 +359,6 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
     k0: violations are recorded as exploratory, not as refutations.
     """
     cfg = cfg or ExperimentConfig()
-    start = time.perf_counter()
     if k < 0:
         raise ValueError("k must be nonnegative")
     check_size(F.n + k, PIPELINE_ISOLATED_MAX_ORDER, "padded order for pipeline_isolated")
@@ -454,13 +454,12 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         exhaustive=True,
     )
     report.target_bound = float(vH - 1)
-    report.runtime_ms = (time.perf_counter() - start) * 1000
     return report
 
 
+@_timed
 def mader_step_check(H: Graph, cfg: ExperimentConfig | None = None) -> RunReport:
     """Average-degree to connected-subgraph check over all induced subgraphs."""
-    start = time.perf_counter()
     check_size(H.n, MADER_MAX_ORDER, "graph order for mader_step_check")
     if H.n == 0:
         raise ValueError("the check needs at least one vertex")
@@ -488,7 +487,6 @@ def mader_step_check(H: Graph, cfg: ExperimentConfig | None = None) -> RunReport
         best,
         exhaustive=True,
     )
-    report.runtime_ms = (time.perf_counter() - start) * 1000
     return report
 
 
@@ -539,13 +537,8 @@ def _op_property_q_verdict(args):
 
 
 def _op_minor_free_all_induced(args):
-    host = parse_graph6(args["host"])
-    pattern = parse_graph6(args["pattern"])
-    for size in range(args["min_size"], pattern.n + 1):
-        for combo in combinations(range(pattern.n), size):
-            if contains_minor(host, induced_subgraph(pattern, mask_of(combo))) is not None:
-                return False
-    return True
+    host, pattern = parse_graph6(args["host"]), parse_graph6(args["pattern"])
+    return find_induced_pattern_minor(host, pattern, args["min_size"]) is None
 
 
 def _op_pasting_minor_free(args):
@@ -590,7 +583,11 @@ REPLAY_OPS = {
 
 
 def replay_report(report_dict: dict) -> list[dict]:
-    """Re-run every certified line; each result records claim and agreement."""
+    """Re-run every certified line; each result records claim and agreement.
+
+    An operation that raises one of ``OPERATION_ERRORS`` (a size guard, say)
+    fails its own line with an ``error`` field; later lines still run.
+    """
     from .reports import jsonable
 
     results = []
@@ -600,31 +597,27 @@ def replay_report(report_dict: dict) -> list[dict]:
         if op is None:
             results.append({"claim": entry["claim"], "ok": False, "error": f"unknown op {spec['op']}"})
             continue
-        got = jsonable(op(spec["args"]))
+        try:
+            got = jsonable(op(spec["args"]))
+        except OPERATION_ERRORS as exc:
+            results.append({"claim": entry["claim"], "ok": False, "error": f"{type(exc).__name__}: {exc}"})
+            continue
         results.append({"claim": entry["claim"], "ok": got == spec["expect"], "got": got})
     return results
 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     """Dispatch a configured pipeline run."""
-    from .graphio import load_graph_text
-    from pathlib import Path
-
-    def load(graph_field: str) -> Graph:
-        if graph_field and Path(graph_field).exists():
-            return load_graph_text(Path(graph_field).read_text())
-        return load_graph_text(graph_field)
-
     params = dict(cfg.params)
     if cfg.pipeline == "conn":
-        return pipeline_conn(load(cfg.graph), Fraction(str(params["epsilon"])), cfg)
+        return pipeline_conn(load_graph(cfg.graph), Fraction(str(params["epsilon"])), cfg)
     if cfg.pipeline == "random":
         n = int(params.pop("n"))
         epsilon = Fraction(str(params.pop("epsilon")))
         overrides = {k: Fraction(str(v)) for k, v in params.items() if k in {"delta", "p", "D", "C"}}
         return pipeline_random(n, epsilon, overrides, cfg)
     if cfg.pipeline == "isolated":
-        return pipeline_isolated(load(cfg.graph), int(params["k"]), cfg)
+        return pipeline_isolated(load_graph(cfg.graph), int(params["k"]), cfg)
     if cfg.pipeline == "mader":
-        return mader_step_check(load(cfg.graph), cfg)
+        return mader_step_check(load_graph(cfg.graph), cfg)
     raise ValueError(f"unknown pipeline {cfg.pipeline!r}")

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceededError
-from .graphs import BipartiteGraph, Graph, bits, edges_between, mask_of
+from .graphs import BipartiteGraph, Graph, bits, edges_between, mask_of, nonempty_submasks
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -299,16 +299,6 @@ def _violating_family(G: BipartiteGraph, k: int, l: int, edge_pairs, cap: int, s
     Y_sets = [0] * l
 
     y_constraints: dict[int, list[int]] = {j: [] for j in y_positions}
-
-    def nonempty_submasks(avail: int, limit: int):
-        out = []
-        s = avail
-        while s:
-            if s.bit_count() <= limit:
-                out.append(s)
-            s = (s - 1) & avail
-        out.reverse()
-        return out
 
     def assign_y(pos_idx: int, avail_b: int) -> bool:
         if pos_idx == len(y_positions):

@@ -1,15 +1,17 @@
 """Independent brute-force oracles used only by the tests.
 
 These deliberately avoid the algorithms they check: straight-line
-enumeration over product spaces, subsets, or permutations. The one
-exception is a frozen copy of the plain list-coloring backtracker, kept to
-pin the exact colorings the production solver returns.
+enumeration over product spaces, subsets, or permutations. The
+exceptions are frozen copies of earlier production code, kept to pin the
+exact values the current code returns: the plain list-coloring
+backtracker, the pasting verifier's loop over every injective A-coloring,
+and the induced-pattern minor sweep over every size.
 """
 
 from itertools import combinations, permutations, product
 
 from minorforge.coloring import ListAssignment
-from minorforge.graphs import Graph, bits, mask_of
+from minorforge.graphs import Graph, bits, induced_subgraph, mask_of
 
 
 def naive_l_colorable(G: Graph, L: ListAssignment) -> bool:
@@ -158,3 +160,54 @@ def are_isomorphic(G: Graph, H: Graph) -> bool:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in h_edges for u, v in G.edges()):
             return True
     return False
+
+
+def reference_check_pasting_lower_bound(part, *, check_invariants: bool = True):
+    """The factored pasting verifier as it stood before the canonical-coloring
+    collapse: one pinned solve per injective A-coloring, in the order
+    ``permutations`` yields them, stopping at the first that extends."""
+    from minorforge.coloring import is_l_colorable
+    from minorforge.constructions import PastingBoundCheck, adversarial_lists_for_copy
+
+    if check_invariants:
+        part.validate()
+    G = part.graph
+    a_vertices = part.a_vertices()
+    u = part.universe_size()
+    bound = part.a_mask.bit_count() + part.b_mask.bit_count() - part.slack
+    if G.n == 0:
+        return PastingBoundCheck(certified=True, bound=bound, copies=1, colorings_checked=0)
+    copies = u ** len(a_vertices)
+    checked = 0
+    for assignment in permutations(range(1, u + 1), len(a_vertices)):
+        checked += 1
+        coloring_of_a = dict(zip(a_vertices, assignment))
+        lists = adversarial_lists_for_copy(part, coloring_of_a)
+        pinned = list(lists.lists)
+        for a, c in coloring_of_a.items():
+            pinned[a] = frozenset({c})
+        extension = is_l_colorable(G, ListAssignment(tuple(pinned)))
+        if extension is not None:
+            return PastingBoundCheck(
+                certified=False,
+                bound=bound,
+                copies=copies,
+                colorings_checked=checked,
+                counterexample={
+                    "a_coloring": {str(a): c for a, c in coloring_of_a.items()},
+                    "extension": list(extension),
+                },
+            )
+    return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=checked)
+
+
+def reference_minor_free_all_induced(host: Graph, pattern: Graph, min_size: int) -> bool:
+    """No induced pattern subgraph on min_size or more vertices is a minor
+    of the host, checked at every size."""
+    from minorforge.minors import contains_minor
+
+    for size in range(min_size, pattern.n + 1):
+        for combo in combinations(range(pattern.n), size):
+            if contains_minor(host, induced_subgraph(pattern, mask_of(combo))) is not None:
+                return False
+    return True

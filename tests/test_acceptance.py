@@ -15,7 +15,11 @@ from itertools import combinations
 from scipy.stats import chi2
 
 from minorforge.coloring import chromatic_number, is_l_colorable, list_chromatic_number
-from minorforge.constructions import materialized_pasting_instance, verify_pasting_lower_bound
+from minorforge.constructions import (
+    check_pasting_lower_bound,
+    materialized_pasting_instance,
+    verify_pasting_lower_bound,
+)
 from minorforge.graphs import (
     color_by_degeneracy,
     complete_bipartite_graph,
@@ -48,7 +52,7 @@ from minorforge.random_models import (
 from minorforge.reports import ExperimentConfig
 
 from .conftest import petersen_graph, random_graph
-from .test_constructions import all_small_fixtures
+from .test_constructions import all_small_fixtures, invalid_relaxed_fixtures
 from .test_minors import glued_minor_free_pair
 
 
@@ -101,6 +105,14 @@ def test_criterion_3_factored_verifier_matches_materialized():
             pasted, lists = materialized_pasting_instance(part)
             assert pasted.n <= 24
             assert factored == (is_l_colorable(pasted, lists) is None)
+        # with the invariants off, A a clique but B or the slack invalid
+        counterexamples = 0
+        for part in invalid_relaxed_fixtures(seed=5, count=800):
+            check = check_pasting_lower_bound(part, check_invariants=False)
+            pasted, lists = materialized_pasting_instance(part, check_invariants=False)
+            assert check.certified == (is_l_colorable(pasted, lists) is None)
+            counterexamples += not check.certified
+        assert counterexamples >= 200
 
 
 def test_criterion_4_glue_closure_trials():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from minorforge.graphs import (
 )
 from minorforge.minors import contains_minor
 
-from .oracles import are_isomorphic
+from .oracles import are_isomorphic, reference_check_pasting_lower_bound
 
 
 class TestKFoldPasting:
@@ -178,6 +179,37 @@ def all_small_fixtures():
     return fixtures
 
 
+def relaxed_partition(rng, a, b):
+    """A = 0..a-1 is a clique and B = a..a+b-1 takes the rest; B's edges,
+    the cross edges and the slack are random, so B may fail to be a clique
+    and a B-vertex may miss more A-neighbors than the slack allows."""
+    n = a + b
+    p_b = rng.choice([1.0, 0.7])
+    p_cross = rng.choice([0.5, 0.8, 1.0])
+    edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    edges += [(u, v) for u in range(a, n) for v in range(u + 1, n) if rng.random() < p_b]
+    edges += [(i, v) for i in range(a) for v in range(a, n) if rng.random() < p_cross]
+    F = Graph.from_edges(n, edges)
+    return TwoCliquePartition(F, (1 << a) - 1, ((1 << n) - 1) ^ ((1 << a) - 1), rng.randint(0, a))
+
+
+def invalid_relaxed_fixtures(seed, count, max_order=30):
+    """``count`` relaxed partitions that fail ``validate`` only in B or the
+    slack, with materialized pastings of at most ``max_order`` vertices."""
+    rng = random.Random(seed)
+    fixtures = []
+    while len(fixtures) < count:
+        a, b = rng.randint(1, 3), rng.randint(1, 4)
+        if a + (a + b - 1) ** a * b > max_order:
+            continue
+        part = relaxed_partition(rng, a, b)
+        try:
+            part.validate()
+        except ValueError:
+            fixtures.append(part)
+    return fixtures
+
+
 class TestPastingLowerBound:
     def test_triangle_fixture(self):
         part = TwoCliquePartition(complete_graph(3), 0b001, 0b110, 0)
@@ -218,6 +250,28 @@ class TestPastingLowerBound:
         lists = adversarial_lists_for_copy(part, coloring)
         extension = check.counterexample["extension"]
         assert all(extension[v] in lists.lists[v] for v in range(F.n))
+
+    def test_non_clique_a_is_an_error_even_with_relaxed_invariants(self):
+        # only injective A-colorings are checked, which are all the proper
+        # ones only when A is a clique; here the pasting is L-colorable, so a
+        # certified verdict would be false
+        F = Graph.from_edges(3, [(0, 2), (1, 2)])
+        part = TwoCliquePartition(F, 0b011, 0b100, 2)
+        pasted, lists = materialized_pasting_instance(part, check_invariants=False)
+        assert is_l_colorable(pasted, lists) is not None
+        with pytest.raises(ValueError, match="A does not induce a clique"):
+            check_pasting_lower_bound(part, check_invariants=False)
+
+    def test_canonical_solve_equals_the_permutation_loop(self):
+        rng = random.Random(37)
+        counterexamples = 0
+        for _ in range(2000):
+            part = relaxed_partition(rng, rng.randint(0, 4), rng.randint(0, 4))
+            got = check_pasting_lower_bound(part, check_invariants=False)
+            want = reference_check_pasting_lower_bound(part, check_invariants=False)
+            assert asdict(got) == asdict(want)
+            counterexamples += not got.certified
+        assert counterexamples >= 200
 
     def test_certifies_across_random_valid_fixtures(self):
         # for invariant-satisfying partitions the factored bound always

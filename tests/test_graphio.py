@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorforge.graphio import (
+    load_graph,
     load_graph_text,
     parse_edge_list,
     parse_graph6,
@@ -71,3 +72,12 @@ def test_bad_graph6_rejected():
 def test_load_graph_text_dispatch():
     assert load_graph_text("Bw") == complete_graph(3)
     assert load_graph_text("3 2\n0 1\n1 2\n") == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_load_graph_reads_a_path_or_the_value_itself(tmp_path):
+    path = tmp_path / "k3.txt"
+    path.write_text("3 3\n0 1\n0 2\n1 2\n")
+    assert load_graph(str(path)) == complete_graph(3)
+    assert load_graph("Bw") == complete_graph(3)
+    with pytest.raises(ValueError, match="empty"):
+        load_graph("")

@@ -24,6 +24,7 @@ from minorforge.graphs import (
     mask_of,
     max_degree,
     min_degree,
+    nonempty_submasks,
     path_graph,
     turan_threshold_exceeded,
     vertex_connectivity,
@@ -255,3 +256,12 @@ class TestColorByDegeneracy:
             assert all(coloring[v] in lists[v] for v in range(G.n))
             # cross-check with the exact solver: the instance is colorable
             assert is_l_colorable(G, ListAssignment.from_lists(lists)) is not None
+
+
+def test_nonempty_submasks_ascending_and_capped():
+    rng = random.Random(61)
+    for _ in range(200):
+        mask = rng.getrandbits(10)
+        limit = rng.randint(0, 11)
+        want = [s for s in range(1, mask + 1) if s & mask == s and s.bit_count() <= limit]
+        assert nonempty_submasks(mask, limit) == want

@@ -23,6 +23,7 @@ from minorforge.minors import (
     clique_sum,
     contains_minor,
     contains_minor_contraction_oracle,
+    find_induced_pattern_minor,
     find_minimum_minor_support,
     hadwiger_number,
     restrict_model_through_clique,
@@ -30,6 +31,7 @@ from minorforge.minors import (
 )
 
 from .conftest import random_graph
+from .oracles import reference_minor_free_all_induced
 
 
 class TestVerifyModel:
@@ -286,6 +288,20 @@ class TestMinimumMinorSupport:
     def test_guard(self):
         with pytest.raises(SizeGuardError):
             find_minimum_minor_support(empty_graph(11), complete_graph(2))
+
+
+class TestInducedPatternSweep:
+    def test_single_size_equals_every_size(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            host = random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.5, 0.8]))
+            pattern = random_graph(rng, rng.randint(0, 5), rng.choice([0.3, 0.5, 0.8]))
+            for size in range(pattern.n + 2):
+                found = find_induced_pattern_minor(host, pattern, size)
+                assert (found is None) == reference_minor_free_all_induced(host, pattern, size)
+                if found is not None:
+                    assert len(found) == size
+                    assert contains_minor(host, induced_subgraph(pattern, mask_of(found))) is not None
 
 
 def sample_minor_free(rng, pattern, max_n):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from minorforge.errors import SizeGuardError
+from minorforge.graphio import to_graph6
 from minorforge.graphs import complete_graph, empty_graph, path_graph
 from minorforge.pipelines import (
     _delta_from_epsilon,
@@ -245,6 +246,23 @@ class TestReportsAndConfig:
         cfg = ExperimentConfig.from_file(ipath)
         assert cfg.pipeline == "conn" and cfg.seed == 11
         assert cfg.params["epsilon"] == "3/10"
+
+    def test_replay_records_an_error_per_line(self):
+        # a line whose op raises (here a size guard, as under a smaller
+        # FORGE_GUARD_OVERRIDE than the run had) fails alone; later lines run
+        data = mader_step_check(complete_graph(4)).to_dict()
+        guarded = {
+            "claim": "list chromatic number of the complete graph on 9 vertices is 9",
+            "replay": {"op": "list_chromatic_number", "args": {"graph": to_graph6(complete_graph(9))},
+                       "expect": 9},
+            "exhaustive": True,
+        }
+        data["certified"].insert(0, guarded)
+        results = replay_report(data)
+        assert len(results) == len(data["certified"])
+        assert results[0]["ok"] is False
+        assert results[0]["error"].startswith("SizeGuardError:")
+        assert all(r["ok"] for r in results[1:])
 
     def test_run_pipeline_dispatch(self, tmp_path):
         cfg = ExperimentConfig(pipeline="mader", graph="Bw")
