@@ -114,6 +114,10 @@ def load_graph_text(text: str) -> Graph:
 def load_graph(value: str) -> Graph:
     """Load a graph from the file named ``value`` if there is one, else
     parse ``value`` itself with ``load_graph_text``."""
-    if value and Path(value).exists():
+    try:
+        is_file = bool(value) and Path(value).exists()
+    except OSError:  # ENAMETOOLONG: an inline graph6 can outgrow a file name
+        is_file = False
+    if is_file:
         return load_graph_text(Path(value).read_text())
     return load_graph_text(value)

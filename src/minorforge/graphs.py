@@ -313,12 +313,6 @@ def is_connected_subset(G: Graph, S: VertexSet) -> bool:
     return reach == S
 
 
-def is_connected(G: Graph) -> bool:
-    if G.n == 0:
-        return True
-    return is_connected_subset(G, G.vertex_mask())
-
-
 def is_clique(G: Graph, S: VertexSet) -> bool:
     """True iff every pair of vertices in S is adjacent (empty and singleton pass)."""
     for v in bits(S):

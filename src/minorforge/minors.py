@@ -18,6 +18,7 @@ from .graphs import (
     is_clique,
     is_connected_subset,
     mask_of,
+    min_degree,
     nonempty_submasks,
 )
 
@@ -111,18 +112,82 @@ def _twin_classes(pattern: Graph) -> list[int]:
     return rep
 
 
+def _series_parallel_reduction(host: Graph) -> Graph:
+    """The host after repeatedly deleting a vertex of degree at most 1 and
+    suppressing a vertex of degree 2 until neither is left.
+
+    Suppressing v deletes it and joins its two neighbours; if they are
+    already adjacent the new edge merges into the old one. Each step is a
+    deletion or the contraction of an edge at v, so the result is a minor of
+    the host, relabelled 0..k-1 in ascending original order.
+    """
+    adj = list(host.adj)
+    alive = host.vertex_mask()
+    stack = [v for v in range(host.n) if adj[v].bit_count() <= 2]
+    if not stack:
+        return host
+    # no step raises a degree, so a stacked vertex keeps degree <= 2
+    while stack:
+        v = stack.pop()
+        if not alive >> v & 1:
+            continue
+        nb = adj[v]
+        alive ^= 1 << v
+        adj[v] = 0
+        for u in bits(nb):
+            adj[u] &= ~(1 << v)
+            adj[u] |= nb & ~(1 << u)  # joins the two neighbours of a degree-2 v
+        stack.extend(u for u in bits(nb) if adj[u].bit_count() <= 2)
+    return induced_subgraph(Graph(host.n, tuple(adj)), alive)
+
+
 def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
     """A valid minor model of the pattern in the host, or None.
 
-    Backtracking over branch sets: pattern vertices by descending degree,
-    candidate branch sets by ascending mask value. Prunes on remaining
-    host-vertex budget, on the host edge budget (a model needs one host edge
-    per pattern edge plus a spanning tree inside every branch set), and on
-    pattern edges that no remaining host vertex can still realize. Twin
-    pattern vertices are searched with increasing branch-set minima, which
-    skips permuted duplicates. The first model found is returned, so the
-    witness is deterministic.
+    When the pattern has minimum degree at least 3, the host is first cut
+    down by ``_series_parallel_reduction`` (delete vertices of degree at most
+    1, suppress vertices of degree 2, until none is left). If the reduced
+    host has no model, the answer is None; otherwise the model is searched
+    for in the original host, so the returned witness does not depend on the
+    reduction (a host that loses no vertex is searched once). This is exact,
+    because the host has a model iff the reduced host has one:
+
+    - The reduced host is a minor of the host, so a model in it gives one in
+      the host.
+    - Conversely, take a model in the current host and a vertex v of degree
+      at most 2. If v is in no branch set, deleting v (and joining its
+      neighbours) keeps the model. Otherwise v cannot be a whole branch set:
+      each pattern neighbour of its pattern vertex h needs its own host
+      neighbour of v, so h would have degree at most 2 < 3. So the branch
+      set of h holds a neighbour a of v. If v has degree at most 1, a is its
+      only neighbour, and dropping v from the branch set leaves it connected
+      and loses no edge to another branch set. If v has degree 2, contract
+      va into a: the branch set stays connected, and an edge from v to its
+      other neighbour b becomes the edge ab that suppression adds.
+
+    Patterns of minimum degree below 3 (K1-K3, cycles, paths) skip the
+    reduction: a cycle host reduces to nothing but contains a triangle.
+
+    The search itself (``_search_model``) backtracks over branch sets:
+    pattern vertices by descending degree, candidate branch sets by
+    ascending mask value. It prunes on remaining host-vertex budget, on the
+    host edge budget (a model needs one host edge per pattern edge plus a
+    spanning tree inside every branch set), and on pattern edges that no
+    remaining host vertex can still realize. Twin pattern vertices are
+    searched with increasing branch-set minima, which skips permuted
+    duplicates. The first model found is returned, so the witness is
+    deterministic.
     """
+    if min_degree(pattern) >= 3:
+        reduced = _series_parallel_reduction(host)
+        # an unreduced host is the host itself: searching it twice gains nothing
+        if reduced.n < host.n and _search_model(reduced, pattern) is None:
+            return None
+    return _search_model(host, pattern)
+
+
+def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
+    """The first minor model of the branch-set backtracking search, or None."""
     if pattern.n == 0:
         return MinorModel({})
     if host.n < pattern.n or host.edge_count() < pattern.edge_count():

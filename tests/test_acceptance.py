@@ -28,6 +28,7 @@ from minorforge.graphs import (
     vertex_connectivity,
 )
 from minorforge.minors import (
+    _search_model,
     contains_minor,
     contains_minor_contraction_oracle,
     verify_model,
@@ -75,9 +76,10 @@ def test_criterion_1_dual_minor_oracles_agree():
         for _ in range(500):
             host = random_graph(rng, rng.randint(1, 7), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
             pattern = random_graph(rng, rng.randint(1, 5), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
-            assert (contains_minor(host, pattern) is not None) == (
-                contains_minor_contraction_oracle(host, pattern)
-            )
+            expected = contains_minor_contraction_oracle(host, pattern)
+            assert (contains_minor(host, pattern) is not None) == expected
+            # the backtracker alone, without the degree-2 filter in front
+            assert (_search_model(host, pattern) is not None) == expected
 
 
 def test_criterion_2_petersen_fixtures():

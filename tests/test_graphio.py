@@ -81,3 +81,10 @@ def test_load_graph_reads_a_path_or_the_value_itself(tmp_path):
     assert load_graph("Bw") == complete_graph(3)
     with pytest.raises(ValueError, match="empty"):
         load_graph("")
+
+
+def test_load_graph_takes_inline_graph6_longer_than_a_file_name():
+    # K80 in graph6 is 795 characters, past the usual 255-byte name limit
+    text = to_graph6(complete_graph(80))
+    assert len(text) > 255
+    assert load_graph(text) == complete_graph(80)

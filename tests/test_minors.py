@@ -13,12 +13,15 @@ from minorforge.graphs import (
     empty_graph,
     induced_subgraph,
     mask_of,
+    min_degree,
     path_graph,
     vertex_connectivity,
 )
 from minorforge.minors import (
     CliqueSumSpec,
     MinorModel,
+    _search_model,
+    _series_parallel_reduction,
     check_model,
     clique_sum,
     contains_minor,
@@ -338,6 +341,82 @@ class TestGlueClosure:
         for _ in range(25):
             union = glued_minor_free_pair(rng, pattern, kappa)
             assert contains_minor(union, pattern) is None
+
+
+# patterns of minimum degree 3, for which contains_minor reduces the host
+DEGREE_3_PATTERNS = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "K33": complete_bipartite_graph(3, 3),
+    "K5-e": Graph.from_edges(5, [e for e in complete_graph(5).edges() if e != (0, 1)]),
+    "W5": Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]),
+    "prism": Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                  (0, 3), (1, 4), (2, 5)]),
+}
+
+
+class TestSeriesParallelFilter:
+    def test_reduced_host_is_a_minor_with_minimum_degree_3(self):
+        rng = random.Random(61)
+        partly_reduced = 0
+        for _ in range(400):
+            host = random_graph(rng, rng.randint(1, 9), rng.choice([0.25, 0.35, 0.45, 0.55, 0.65]))
+            reduced = _series_parallel_reduction(host)
+            assert reduced.n == 0 or min_degree(reduced) >= 3
+            assert contains_minor_contraction_oracle(host, reduced)
+            partly_reduced += 0 < reduced.n < host.n
+        assert partly_reduced >= 50
+
+    def test_reduces_to_nothing_exactly_when_k4_minor_free(self):
+        import networkx as nx
+
+        atlas = nx.graph_atlas_g()  # every graph of order 0..7
+        assert len(atlas) == 1253
+        for g in atlas:
+            host = Graph.from_edges(g.number_of_nodes(), g.edges())
+            assert (_series_parallel_reduction(host).n == 0) == (
+                not contains_minor_contraction_oracle(host, complete_graph(4))
+            )
+
+    @pytest.mark.parametrize("name", ["K4", "K5", "K33"])
+    def test_filtered_verdict_matches_oracle_and_witness_is_the_search(self, name):
+        pattern = DEGREE_3_PATTERNS[name]
+        rng = random.Random(62)
+        # clique sums of two minor-free parts of order <= 5 have order <= 9
+        hosts = [glued_minor_free_pair(rng, pattern, vertex_connectivity(pattern), max_n=5)
+                 for _ in range(40)]
+        hosts += [random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.45, 0.6]))
+                  for _ in range(60)]
+        found = 0
+        for host in hosts:
+            model = contains_minor(host, pattern)
+            assert (model is not None) == contains_minor_contraction_oracle(host, pattern)
+            assert model == _search_model(host, pattern)
+            found += model is not None
+        assert 0 < found < len(hosts)
+
+    def test_low_degree_pattern_skips_the_reduction(self):
+        cycle = cycle_graph(12)
+        assert _series_parallel_reduction(cycle).n == 0
+        model = contains_minor(cycle, complete_graph(3))
+        assert model is not None and verify_model(cycle, complete_graph(3), model)
+
+
+class TestSearchWithoutFilter:
+    """The backtracker's exhaustive negative path agrees with the oracle;
+    contains_minor answers most negatives of degree-3 patterns before it."""
+
+    def test_degree_3_patterns_against_oracle(self):
+        rng = random.Random(64)
+        patterns = list(DEGREE_3_PATTERNS.values())
+        negatives = 0
+        for _ in range(400):
+            host = random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.45, 0.6, 0.75]))
+            pattern = rng.choice(patterns)
+            found = _search_model(host, pattern) is not None
+            assert found == contains_minor_contraction_oracle(host, pattern)
+            negatives += not found
+        assert negatives >= 100
 
 
 class TestSupportNeighborBoundExploratory:
