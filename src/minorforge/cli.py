@@ -19,7 +19,7 @@ from .constructions import (
     k_fold_pasting,
 )
 from .errors import OPERATION_ERRORS
-from .graphio import load_graph, to_graph6
+from .graphio import load_graph, read_path_or_text, to_graph6
 from .graphs import mask_of
 from .minors import contains_minor, hadwiger_number, verify_model
 from .pipelines import replay_report, run_pipeline
@@ -204,8 +204,7 @@ def check_property_p_cmd(graph, bip_path, delta, s, mode, k_l_range, budget, nod
     if mode == "falsify" and seed is None:
         raise click.UsageError("falsify mode requires --seed")
     H = load_graph(graph)
-    text = Path(bip_path).read_text() if Path(bip_path).exists() else bip_path
-    spec = json.loads(text)
+    spec = json.loads(read_path_or_text(bip_path))
     from .graphs import BipartiteGraph
 
     B = BipartiteGraph.from_edges(spec["a_size"], spec["b_size"],
@@ -326,25 +325,33 @@ def pipeline():
     """End-to-end desk-scale pipeline runs."""
 
 
+def _pipeline_config(pipeline: str, config_path, params: dict, **fields) -> ExperimentConfig:
+    """The config file's settings, or the ``ExperimentConfig`` defaults, with
+    every flag that was given on top; a flag left out is None."""
+    cfg = ExperimentConfig.from_file(config_path) if config_path else ExperimentConfig()
+    cfg.pipeline = pipeline
+    for name, value in fields.items():
+        if value is not None:
+            setattr(cfg, name, value)
+    cfg.params.update({key: value for key, value in params.items() if value is not None})
+    return cfg
+
+
+ATTEMPTS_HELP = f"Gadget sampling attempts [default: {ExperimentConfig.attempts}]"
+
+
 @pipeline.command("conn")
 @click.option("--graph", default=None, help="Graph H (required unless --config provides it)")
 @click.option("--epsilon", default=None, help="Rational epsilon in (0, 1)")
 @click.option("--seed", type=int, default=None, help="Seed (mandatory unless --config provides it)")
-@click.option("--attempts", type=int, default=200, show_default=True)
+@click.option("--attempts", type=int, default=None, help=ATTEMPTS_HELP)
 @click.option("--config", "config_path", default=None, help="Experiment config file (JSON or INI)")
 @click.option("--out", default=None, help="Run directory for report.json and summary.csv")
 @forge_errors
 def pipeline_conn_cmd(graph, epsilon, seed, attempts, config_path, out):
     """Connectivity-driven bound pipeline."""
-    cfg = ExperimentConfig.from_file(config_path) if config_path else ExperimentConfig()
-    cfg.pipeline = "conn"
-    if graph:
-        cfg.graph = graph
-    if seed is not None:
-        cfg.seed = seed
-    cfg.attempts = attempts
-    if epsilon is not None:
-        cfg.params["epsilon"] = epsilon
+    cfg = _pipeline_config("conn", config_path, {"epsilon": epsilon},
+                           graph=graph, seed=seed, attempts=attempts)
     if cfg.graph is None or "epsilon" not in cfg.params:
         raise click.UsageError("pipeline conn needs --graph and --epsilon (or a config providing them)")
     if cfg.seed is None:
@@ -359,20 +366,15 @@ def pipeline_conn_cmd(graph, epsilon, seed, attempts, config_path, out):
 @click.option("-p", default=None, help="Override the edge probability")
 @click.option("-D", "--density", "D", default=None, help="Override the constant D")
 @click.option("--seed", type=int, default=None, help="Seed (mandatory)")
-@click.option("--attempts", type=int, default=200, show_default=True)
+@click.option("--attempts", type=int, default=None, help=ATTEMPTS_HELP)
 @click.option("--config", "config_path", default=None, help="Experiment config file (JSON or INI)")
 @click.option("--out", default=None, help="Run directory")
 @forge_errors
 def pipeline_random_cmd(n, epsilon, delta, p, D, seed, attempts, config_path, out):
     """Sparse pseudo-random bound pipeline."""
-    cfg = ExperimentConfig.from_file(config_path) if config_path else ExperimentConfig()
-    cfg.pipeline = "random"
-    if seed is not None:
-        cfg.seed = seed
-    cfg.attempts = attempts
-    for key, value in (("n", n), ("epsilon", epsilon), ("delta", delta), ("p", p), ("D", D)):
-        if value is not None:
-            cfg.params[key] = value
+    cfg = _pipeline_config("random", config_path,
+                           {"n": n, "epsilon": epsilon, "delta": delta, "p": p, "D": D},
+                           seed=seed, attempts=attempts)
     if "n" not in cfg.params or "epsilon" not in cfg.params:
         raise click.UsageError("pipeline random needs -n and --epsilon (or a config providing them)")
     if cfg.seed is None:
@@ -384,25 +386,19 @@ def pipeline_random_cmd(n, epsilon, delta, p, D, seed, attempts, config_path, ou
 @click.option("--graph", default=None, help="Base graph F")
 @click.option("-k", type=int, default=None, help="Number of isolated vertices to add")
 @click.option("--seed", type=int, default=None, help="Seed (mandatory)")
-@click.option("--samples", type=int, default=300, show_default=True)
-@click.option("--max-n", type=int, default=8, show_default=True)
-@click.option("--edge-prob", type=float, default=0.5, show_default=True)
+@click.option("--samples", type=int, default=None,
+              help=f"Random graphs sampled [default: {ExperimentConfig.sample_count}]")
+@click.option("--max-n", type=int, default=None,
+              help=f"Largest sampled order [default: {ExperimentConfig.sample_max_vertices}]")
+@click.option("--edge-prob", type=float, default=None,
+              help=f"Sampled edge probability [default: {ExperimentConfig.edge_prob}]")
 @click.option("--config", "config_path", default=None, help="Experiment config file (JSON or INI)")
 @click.option("--out", default=None, help="Run directory")
 @forge_errors
 def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path, out):
     """Isolated-vertex padding pipeline."""
-    cfg = ExperimentConfig.from_file(config_path) if config_path else ExperimentConfig()
-    cfg.pipeline = "isolated"
-    if graph:
-        cfg.graph = graph
-    if seed is not None:
-        cfg.seed = seed
-    cfg.sample_count = samples
-    cfg.sample_max_vertices = max_n
-    cfg.edge_prob = edge_prob
-    if k is not None:
-        cfg.params["k"] = k
+    cfg = _pipeline_config("isolated", config_path, {"k": k}, graph=graph, seed=seed,
+                           sample_count=samples, sample_max_vertices=max_n, edge_prob=edge_prob)
     if cfg.graph is None or "k" not in cfg.params:
         raise click.UsageError("pipeline isolated needs --graph and -k (or a config providing them)")
     if cfg.seed is None:

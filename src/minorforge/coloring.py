@@ -18,12 +18,12 @@ from .graphs import (
     degeneracy,
     induced_subgraph,
     is_connected_subset,
+    relabel_rows,
 )
 
 Coloring = tuple[int, ...]
 
 LIST_CHROMATIC_MAX_ORDER = 8
-LIST_CHROMATIC_MAX_K = 9
 
 
 @dataclass(frozen=True)
@@ -226,26 +226,17 @@ def _alon_tarsi_certifies(H: Graph, k: int) -> bool:
     return True
 
 
-def _induced_structure(H: Graph, P: int, cache: dict) -> tuple[list[int], list[int]]:
+def _solve_on_subset(H: Graph, P: int, masks: list[int], cache: dict) -> bool:
+    """Is the induced subproblem on P colorable from the given list masks?
+
+    ``cache`` keeps each P's vertices and relabelled rows across calls.
+    """
     got = cache.get(P)
     if got is None:
         verts = bit_list(P)
-        index = {v: i for i, v in enumerate(verts)}
-        adj = []
-        for v in verts:
-            row = 0
-            for u in bits(H.adj[v] & P):
-                row |= 1 << index[u]
-            adj.append(row)
-        got = (verts, adj)
-        cache[P] = got
-    return got
-
-
-def _solve_on_subset(H: Graph, P: int, masks: list[int], cache: dict | None = None) -> bool:
-    """Is the induced subproblem on P colorable from the given list masks?"""
-    verts, adj = _induced_structure(H, P, cache if cache is not None else {})
-    return _solve_list_coloring(len(verts), tuple(adj), [masks[v] for v in verts]) is not None
+        got = cache[P] = (verts, relabel_rows(H.adj, verts))
+    verts, adj = got
+    return _solve_list_coloring(len(verts), adj, [masks[v] for v in verts]) is not None
 
 
 def _capped_uncolorable_supports(H: Graph, k: int) -> list[int] | None:
@@ -408,17 +399,20 @@ def is_k_choosable(G: Graph, k: int, *, use_shortcuts: bool = True) -> bool:
     return find_uncolorable_assignment(G, k, use_shortcuts=use_shortcuts) is None
 
 
-def list_chromatic_number(
-    G: Graph, *, use_shortcuts: bool = True, max_k: int = LIST_CHROMATIC_MAX_K
-) -> int:
-    """Exact list chromatic number by exhaustive assignment enumeration."""
+def list_chromatic_number(G: Graph, *, use_shortcuts: bool = True) -> int:
+    """Exact list chromatic number by exhaustive assignment enumeration.
+
+    Greedy coloring along a degeneracy order succeeds from any lists of
+    degeneracy+1 colors, so the search stops at that k at the latest.
+    """
     check_size(G.n, LIST_CHROMATIC_MAX_ORDER, "graph order for list_chromatic_number")
     if G.n == 0 or G.edge_count() == 0:
         return min(1, G.n)
-    for k in range(1, max_k + 1):
-        if is_k_choosable(G, k, use_shortcuts=use_shortcuts):
-            return k
-    raise RuntimeError(f"list chromatic number exceeds the internal bound {max_k}")
+    return next(
+        k
+        for k in range(1, degeneracy(G)[0] + 2)
+        if is_k_choosable(G, k, use_shortcuts=use_shortcuts)
+    )
 
 
 def chromatic_number(G: Graph) -> int:

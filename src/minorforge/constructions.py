@@ -50,37 +50,33 @@ def k_fold_pasting(spec: PastingSpec) -> Graph:
     order), then one block per copy holding the remaining vertices in
     ascending original order.
     """
-    check_size(spec.materialized_order(), PASTING_MAX_VERTICES, "materialized pasting order")
-    F = spec.graph
-    shared = bit_list(spec.attach)
-    others = [v for v in range(F.n) if not spec.attach >> v & 1]
-    s, t = len(shared), len(others)
-    n = s + spec.copies * t
+    n = spec.materialized_order()
+    check_size(n, PASTING_MAX_VERTICES, "materialized pasting order")
     rows = [0] * n
-
-    def add_edge(u: int, v: int) -> None:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-
-    shared_index = {v: i for i, v in enumerate(shared)}
+    edges = spec.graph.edges()
     for copy in range(spec.copies):
-        offset = s + copy * t
-        block_index = {v: offset + i for i, v in enumerate(others)}
-        placed = {**shared_index, **block_index}
-        for u, v in F.edges():
-            add_edge(placed[u], placed[v])
+        placed = pasting_copy_vertices(spec, copy)
+        for u, v in edges:
+            rows[placed[u]] |= 1 << placed[v]
+            rows[placed[v]] |= 1 << placed[u]
     return Graph(n, tuple(rows))
 
 
 def pasting_copy_vertices(spec: PastingSpec, copy: int) -> list[int]:
-    """Pasting-graph vertices of one copy, ordered by original F vertex."""
-    shared = bit_list(spec.attach)
-    others = [v for v in range(spec.graph.n) if not spec.attach >> v & 1]
-    s, t = len(shared), len(others)
-    offset = s + copy * t
-    placed = {v: i for i, v in enumerate(shared)}
-    placed.update({v: offset + i for i, v in enumerate(others)})
-    return [placed[v] for v in range(spec.graph.n)]
+    """Pasting-graph vertices of one copy, ordered by original F vertex.
+
+    This is the pasting layout: the s attachment vertices come first in
+    ascending order, then copy i holds the other vertices, ascending, from
+    s + i*(v(F)-s) on.
+    """
+    attach = spec.attach
+    s = attach.bit_count()
+    offset = s + copy * (spec.graph.n - s)
+    placed = []
+    for v in range(spec.graph.n):
+        below = (attach & ((1 << v) - 1)).bit_count()  # attachment vertices before v
+        placed.append(below if attach >> v & 1 else offset + v - below)
+    return placed
 
 
 @dataclass(frozen=True)
@@ -128,21 +124,6 @@ class TwoCliquePartition:
             (a_count - (self.graph.adj[b] & self.a_mask).bit_count() for b in bits(self.b_mask)),
             default=0,
         )
-
-
-@dataclass(frozen=True)
-class AdversarialListFamily:
-    """The copy-indexed list rule: A-vertices see the whole color universe,
-    a B-vertex loses the colors its A-non-neighbors received."""
-
-    part: TwoCliquePartition
-
-    @property
-    def universe(self) -> range:
-        return range(1, self.part.universe_size() + 1)
-
-    def lists_for(self, coloring_of_a: dict[int, int]) -> ListAssignment:
-        return adversarial_lists_for_copy(self.part, coloring_of_a)
 
 
 def adversarial_lists_for_copy(part: TwoCliquePartition, coloring_of_a: dict[int, int]) -> ListAssignment:
@@ -242,10 +223,6 @@ def check_pasting_lower_bound(
     )
 
 
-def verify_pasting_lower_bound(part: TwoCliquePartition, *, check_invariants: bool = True) -> bool:
-    return check_pasting_lower_bound(part, check_invariants=check_invariants).certified
-
-
 def materialized_pasting_instance(
     part: TwoCliquePartition, *, check_invariants: bool = True
 ) -> tuple[Graph, ListAssignment]:
@@ -301,10 +278,6 @@ class GadgetResult:
         return self.graph is not None
 
 
-def _lowest_indices_mask(count: int) -> int:
-    return (1 << count) - 1
-
-
 def build_thm_conn_gadget(
     H: Graph, epsilon: Fraction, seed: int, attempts: int = 200, *, kappa: int | None = None
 ) -> GadgetResult:
@@ -338,21 +311,21 @@ def build_thm_conn_gadget(
     a_count = math.floor((1 - 2 * epsilon) * kappa)
     b_count = math.floor((1 - 2 * epsilon) * n)
     p = epsilon / 2
+    # the gadget keeps the lowest-index vertices of each part and lists the
+    # kept A-vertices first, so in F A's mask is a_mask and B's is b_low << a_count
+    a_mask = (1 << a_count) - 1
+    b_low = (1 << b_count) - 1
     rejections: list[str] = []
     for attempt in range(attempts):
         sample = sample_bipartite(n, n, float(p), seed + attempt)
         if Fraction(sample.max_degree()) > epsilon * n:
             rejections.append(f"attempt {attempt}: max degree above epsilon*n")
             continue
-        A_sub = _lowest_indices_mask(a_count)
-        B_sub = _lowest_indices_mask(b_count)
-        F = bipartite_union_complement(sample, A_sub, B_sub)
+        F = bipartite_union_complement(sample, a_mask, b_low)
         if contains_minor(F, H) is not None:
             rejections.append(f"attempt {attempt}: complement gadget has an H-minor")
             continue
-        a_mask = _lowest_indices_mask(a_count)
-        b_mask = ((1 << (a_count + b_count)) - 1) ^ a_mask
-        part = TwoCliquePartition(F, a_mask, b_mask, 0)
+        part = TwoCliquePartition(F, a_mask, b_low << a_count, 0)
         part = replace(part, slack=part.realized_slack())
         part.validate()
         return GadgetResult(F, part, attempt + 1, rejections, seed)
@@ -391,22 +364,21 @@ def build_thm_random_gadget(
     if side < 1:
         raise ValueError("(1-3*delta)*n is below 1; no gadget exists at this scale")
     u_size = math.ceil((1 - delta) * n)
+    a_mask = (1 << side) - 1
     rejections: list[str] = []
     for attempt in range(attempts):
         sample = sample_bipartite(side, side, float(p), seed + attempt)
         if Fraction(sample.max_degree()) > delta * n:
             rejections.append(f"attempt {attempt}: max degree above delta*n")
             continue
-        F = bipartite_union_complement(sample, _lowest_indices_mask(side), _lowest_indices_mask(side))
+        F = bipartite_union_complement(sample, a_mask, a_mask)
         bad = find_induced_pattern_minor(F, H, u_size)
         if bad is not None:
             rejections.append(
                 f"attempt {attempt}: gadget contains a minor of the induced pattern on {list(bad)}"
             )
             continue
-        a_mask = _lowest_indices_mask(side)
-        b_mask = ((1 << (2 * side)) - 1) ^ a_mask
-        part = TwoCliquePartition(F, a_mask, b_mask, math.floor(delta * n))
+        part = TwoCliquePartition(F, a_mask, a_mask << side, math.floor(delta * n))
         part.validate()
         return GadgetResult(F, part, attempt + 1, rejections, seed)
     return GadgetResult(None, None, attempts, rejections, seed)

@@ -111,13 +111,16 @@ def load_graph_text(text: str) -> Graph:
     return parse_graph6(text)
 
 
+def read_path_or_text(value: str) -> str:
+    """The contents of the file named ``value`` if there is one, else ``value``."""
+    try:
+        is_file = bool(value) and Path(value).exists()
+    except OSError:  # ENAMETOOLONG: inline text can outgrow a file name
+        is_file = False
+    return Path(value).read_text() if is_file else value
+
+
 def load_graph(value: str) -> Graph:
     """Load a graph from the file named ``value`` if there is one, else
     parse ``value`` itself with ``load_graph_text``."""
-    try:
-        is_file = bool(value) and Path(value).exists()
-    except OSError:  # ENAMETOOLONG: an inline graph6 can outgrow a file name
-        is_file = False
-    if is_file:
-        return load_graph_text(Path(value).read_text())
-    return load_graph_text(value)
+    return load_graph_text(read_path_or_text(value))

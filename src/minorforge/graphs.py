@@ -8,6 +8,7 @@ pastings without a word-size cap.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -209,6 +210,26 @@ def complement(G: Graph) -> Graph:
     return Graph(G.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(G.adj)))
 
 
+def relabel_rows(adj: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency rows renumbered so that new vertex i is old vertex ``order[i]``.
+
+    ``order`` lists distinct old vertices; edges to vertices not in it are
+    dropped. Every renumbering in the package goes through this one rule.
+    """
+    new_bit = {1 << v: 1 << i for i, v in enumerate(order)}  # old bit -> new bit
+    keep = sum(new_bit)
+    rows = []
+    for v in order:
+        row = 0
+        m = adj[v] & keep
+        while m:
+            low = m & -m
+            row |= new_bit[low]
+            m ^= low
+        rows.append(row)
+    return tuple(rows)
+
+
 def induced_subgraph(G: Graph, S: VertexSet) -> Graph:
     """Subgraph induced on S, relabelled 0..|S|-1 in ascending original order.
 
@@ -216,14 +237,7 @@ def induced_subgraph(G: Graph, S: VertexSet) -> Graph:
     smallest original vertex.
     """
     keep = bit_list(S)
-    index = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        row = 0
-        for u in bits(G.adj[v] & S):
-            row |= 1 << index[u]
-        rows.append(row)
-    return Graph(len(keep), tuple(rows))
+    return Graph(len(keep), relabel_rows(G.adj, keep))
 
 
 def bipartite_union_complement(B: BipartiteGraph, A_sub: VertexSet, B_sub: VertexSet) -> Graph:

@@ -20,6 +20,7 @@ from .graphs import (
     mask_of,
     min_degree,
     nonempty_submasks,
+    relabel_rows,
 )
 
 CONTRACTION_ORACLE_MAX_ORDER = 9
@@ -138,7 +139,8 @@ def _series_parallel_reduction(host: Graph) -> Graph:
             adj[u] &= ~(1 << v)
             adj[u] |= nb & ~(1 << u)  # joins the two neighbours of a degree-2 v
         stack.extend(u for u in bits(nb) if adj[u].bit_count() <= 2)
-    return induced_subgraph(Graph(host.n, tuple(adj)), alive)
+    keep = bit_list(alive)
+    return Graph(len(keep), relabel_rows(adj, keep))
 
 
 def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
@@ -201,15 +203,9 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
     host_e = host.edge_count()
     pattern_e = pattern.edge_count()
     # pattern adjacency restated in search positions
-    pos_of = {v: i for i, v in enumerate(order)}
-    earlier_nbrs = [
-        [pos_of[u] for u in bits(pattern.adj[order[i]]) if pos_of[u] < i]
-        for i in range(pattern.n)
-    ]
-    last_nbr_pos = [
-        max((pos_of[u] for u in bits(pattern.adj[order[i]])), default=-1)
-        for i in range(pattern.n)
-    ]
+    rows = relabel_rows(pattern.adj, order)
+    earlier_nbrs = [bit_list(row & ((1 << i) - 1)) for i, row in enumerate(rows)]
+    last_nbr_pos = [row.bit_length() - 1 for row in rows]
 
     assigned: list[VertexSet] = []
     reach: list[VertexSet] = []  # host neighborhoods of each assigned branch set
@@ -263,36 +259,17 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
 
 
 def _delete_vertex(n: int, adj: tuple[int, ...], v: int) -> tuple[int, tuple[int, ...]]:
-    keep = [u for u in range(n) if u != v]
-    index = {u: i for i, u in enumerate(keep)}
-    rows = []
-    for u in keep:
-        row = 0
-        m = adj[u]
-        for w in bits(m):
-            if w != v:
-                row |= 1 << index[w]
-        rows.append(row)
-    return n - 1, tuple(rows)
+    return n - 1, relabel_rows(adj, [u for u in range(n) if u != v])
 
 
 def _contract_edge(n: int, adj: tuple[int, ...], u: int, v: int) -> tuple[int, tuple[int, ...]]:
     # merge v into u, then drop v
     merged = list(adj)
-    merged[u] = (adj[u] | adj[v]) & ~(1 << u) & ~(1 << v)
+    merged[u] = (adj[u] | adj[v]) & ~(1 << u)
     for w in bits(adj[v]):
         if w != u:
             merged[w] |= 1 << u
-    keep = [w for w in range(n) if w != v]
-    index = {w: i for i, w in enumerate(keep)}
-    rows = []
-    for w in keep:
-        row = 0
-        for x in bits(merged[w]):
-            if x != v:
-                row |= 1 << index[x]
-        rows.append(row)
-    return n - 1, tuple(rows)
+    return _delete_vertex(n, merged, v)
 
 
 def _refine_key(n: int, adj: tuple[int, ...]) -> tuple:
@@ -303,15 +280,7 @@ def _refine_key(n: int, adj: tuple[int, ...]) -> tuple:
         color = [
             (color[v], tuple(sorted(color[u] for u in bits(adj[v])))) for v in range(n)
         ]
-    perm = sorted(range(n), key=lambda v: (color[v], v))
-    index = {v: i for i, v in enumerate(perm)}
-    rows = []
-    for v in perm:
-        row = 0
-        for u in bits(adj[v]):
-            row |= 1 << index[u]
-        rows.append(row)
-    return (n, tuple(rows))
+    return (n, relabel_rows(adj, sorted(range(n), key=lambda v: (color[v], v))))
 
 
 def _spanning_subgraph_iso(pn: int, padj: tuple[int, ...], hn: int, hadj: tuple[int, ...]) -> bool:
@@ -397,9 +366,9 @@ def contains_minor_contraction_oracle(
     return rec(host.n, host.adj, host.edge_count())
 
 
-def hadwiger_number(G: Graph, *, max_order: int = HADWIGER_MAX_ORDER) -> int:
+def hadwiger_number(G: Graph) -> int:
     """Largest t such that G has a complete minor on t vertices."""
-    check_size(G.n, max_order, "graph order for hadwiger_number")
+    check_size(G.n, HADWIGER_MAX_ORDER, "graph order for hadwiger_number")
     t = 0
     while t < G.n and contains_minor(G, complete_graph(t + 1)) is not None:
         t += 1
@@ -502,15 +471,13 @@ def restrict_model_through_clique(
     return MinorModel(restricted)
 
 
-def find_minimum_minor_support(
-    G: Graph, F: Graph, *, max_order: int = MINOR_SUPPORT_MAX_ORDER
-) -> VertexSet | None:
+def find_minimum_minor_support(G: Graph, F: Graph) -> VertexSet | None:
     """Minimum-cardinality X with an F-minor inside G[X], or None.
 
     Increasing-size subset sweep; within one size, subsets are tried in
     lexicographic vertex order, so the witness is deterministic.
     """
-    check_size(G.n, max_order, "graph order for find_minimum_minor_support")
+    check_size(G.n, MINOR_SUPPORT_MAX_ORDER, "graph order for find_minimum_minor_support")
     if F.n == 0:
         return 0
     for size in range(F.n, G.n + 1):

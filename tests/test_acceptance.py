@@ -18,7 +18,6 @@ from minorforge.coloring import chromatic_number, is_l_colorable, list_chromatic
 from minorforge.constructions import (
     check_pasting_lower_bound,
     materialized_pasting_instance,
-    verify_pasting_lower_bound,
 )
 from minorforge.graphs import (
     color_by_degeneracy,
@@ -103,7 +102,7 @@ def test_criterion_3_factored_verifier_matches_materialized():
         shapes = {(p.a_mask.bit_count(), p.b_mask.bit_count(), p.slack) for p in fixtures}
         assert (1, 2, 0) in shapes and (2, 2, 1) in shapes
         for part in fixtures:
-            factored = verify_pasting_lower_bound(part)
+            factored = check_pasting_lower_bound(part).certified
             pasted, lists = materialized_pasting_instance(part)
             assert pasted.n <= 24
             assert factored == (is_l_colorable(pasted, lists) is None)

@@ -110,6 +110,17 @@ class TestProperties:
         )
         assert data["verdict"] == "fails"
 
+    def test_property_p_takes_inline_json_longer_than_a_file_name(self, runner):
+        edges = [[a, b] for a in range(7) for b in range(7)]
+        spec = json.dumps({"a_size": 7, "b_size": 7, "edges": edges})
+        assert len(spec) > 255
+        data = invoke_json(
+            runner,
+            ["check-property", "p", "--graph", to_graph6(complete_graph(4)),
+             "--bipartite", spec, "--delta", "1/2", "-s", "1"],
+        )
+        assert data["verdict"] in {"holds", "fails"}
+
     def test_falsify_needs_seed(self, runner):
         result = runner.invoke(
             main,
@@ -179,6 +190,31 @@ class TestPipelines:
         )
         data = invoke_json(runner, ["pipeline", "conn", "--config", str(cfg)])
         assert data["verdict"] == "completed"
+
+    def test_config_file_values_are_not_overwritten_by_flag_defaults(self, runner, tmp_path):
+        conn = tmp_path / "conn.ini"
+        conn.write_text(
+            "[run]\ngraph = " + to_graph6(complete_graph(6))
+            + "\nseed = 42\nattempts = 1\n\n[params]\nepsilon = 3/10\n"
+        )
+        data = invoke_json(runner, ["pipeline", "conn", "--config", str(conn)])
+        gadget = next(step for step in data["steps"] if step["name"] == "gadget")
+        assert gadget["detail"]["attempts"] == 1
+        assert data["verdict"] == "gadget-not-found"
+        # a flag that is given still wins over the file
+        data = invoke_json(runner, ["pipeline", "conn", "--config", str(conn), "--attempts", "500"])
+        assert data["verdict"] == "completed"
+
+        isolated = tmp_path / "isolated.ini"
+        isolated.write_text(
+            "[run]\ngraph = " + to_graph6(complete_graph(3)) + "\nseed = 7\nsample_count = 5\n"
+            "sample_max_vertices = 6\nedge_prob = 0.25\n\n[params]\nk = 3\n"
+        )
+        data = invoke_json(runner, ["pipeline", "isolated", "--config", str(isolated)])
+        summary = next(c for c in data["certified"] if c["replay"]["op"] == "isolated_sampling_summary")
+        assert summary["replay"]["args"]["count"] == 5
+        assert summary["replay"]["args"]["max_n"] == 6
+        assert summary["replay"]["args"]["edge_prob"] == 0.25
 
     def test_isolated(self, runner):
         data = invoke_json(

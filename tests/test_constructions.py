@@ -6,7 +6,6 @@ import pytest
 
 from minorforge.coloring import is_l_colorable
 from minorforge.constructions import (
-    AdversarialListFamily,
     GadgetResult,
     PastingSpec,
     TwoCliquePartition,
@@ -17,7 +16,6 @@ from minorforge.constructions import (
     k_fold_pasting,
     materialized_pasting_instance,
     pasting_copy_vertices,
-    verify_pasting_lower_bound,
 )
 from minorforge.errors import SizeGuardError
 from minorforge.graphs import (
@@ -146,13 +144,6 @@ class TestAdversarialLists:
         with pytest.raises(ValueError, match="universe"):
             adversarial_lists_for_copy(part, {0: 5})
 
-    def test_family_wrapper(self):
-        F = two_clique_graph(1, 2, missing=set())
-        part = TwoCliquePartition(F, 0b001, 0b110, 0)
-        fam = AdversarialListFamily(part)
-        assert list(fam.universe) == [1, 2]
-        assert fam.lists_for({0: 1}) == adversarial_lists_for_copy(part, {0: 1})
-
 
 def all_small_fixtures():
     """Every two-clique shape whose materialized pasting has at most 24
@@ -220,7 +211,7 @@ class TestPastingLowerBound:
         fixtures = all_small_fixtures()
         assert len(fixtures) >= 8
         for part in fixtures:
-            factored = verify_pasting_lower_bound(part)
+            factored = check_pasting_lower_bound(part).certified
             pasted, lists = materialized_pasting_instance(part)
             assert pasted.n <= 24
             uncolorable = is_l_colorable(pasted, lists) is None
@@ -236,7 +227,7 @@ class TestPastingLowerBound:
         F = empty_graph(3)  # B = {1,2} is not a clique
         part = TwoCliquePartition(F, 0b001, 0b110, 1)
         with pytest.raises(ValueError, match="clique"):
-            verify_pasting_lower_bound(part)
+            check_pasting_lower_bound(part)
 
     def test_relaxed_invariants_expose_the_false_path(self):
         # with the B-clique invariant dropped, an edgeless B anticomplete to A
@@ -286,7 +277,7 @@ class TestPastingLowerBound:
                     missing.add((i, j))
             F = two_clique_graph(a, b, missing)
             part = TwoCliquePartition(F, (1 << a) - 1, ((1 << (a + b)) - 1) ^ ((1 << a) - 1), slack)
-            assert verify_pasting_lower_bound(part)
+            assert check_pasting_lower_bound(part).certified
 
 
 class TestConnGadget:

@@ -26,6 +26,7 @@ from minorforge.graphs import (
     min_degree,
     nonempty_submasks,
     path_graph,
+    relabel_rows,
     turan_threshold_exceeded,
     vertex_connectivity,
 )
@@ -100,6 +101,40 @@ class TestInducedSubgraph:
 
     def test_petersen_outer_cycle(self):
         assert induced_subgraph(petersen_graph(), 0b11111) == cycle_graph(5)
+
+
+def to_nx(G: Graph):
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(range(G.n))
+    g.add_edges_from(G.edges())
+    return g
+
+
+class TestRelabelRows:
+    def test_permutation_is_an_isomorphism_and_its_inverse_restores(self):
+        import networkx as nx
+
+        rng = random.Random(71)
+        for G in random_graph_corpus(71, 150, 9):
+            order = list(range(G.n))
+            rng.shuffle(order)
+            H = Graph(G.n, relabel_rows(G.adj, order))
+            # new vertex i is old vertex order[i]
+            assert nx.utils.graphs_equal(nx.relabel_nodes(to_nx(H), order.__getitem__), to_nx(G))
+            inverse = sorted(range(G.n), key=order.__getitem__)
+            assert relabel_rows(H.adj, inverse) == G.adj
+
+    def test_ascending_subset_is_the_induced_subgraph(self):
+        import networkx as nx
+
+        rng = random.Random(72)
+        for G in random_graph_corpus(72, 150, 9):
+            keep = sorted(rng.sample(range(G.n), rng.randint(0, G.n)))
+            H = Graph(len(keep), relabel_rows(G.adj, keep))
+            expected = nx.convert_node_labels_to_integers(to_nx(G).subgraph(keep), ordering="sorted")
+            assert nx.utils.graphs_equal(to_nx(H), expected)
 
 
 class TestDegeneracy:

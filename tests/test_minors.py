@@ -20,6 +20,7 @@ from minorforge.graphs import (
 from minorforge.minors import (
     CliqueSumSpec,
     MinorModel,
+    _contract_edge,
     _search_model,
     _series_parallel_reduction,
     check_model,
@@ -132,6 +133,22 @@ class TestContractionOracle:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             contains_minor_contraction_oracle(empty_graph(10), complete_graph(2))
+
+    def test_contract_edge_matches_networkx(self):
+        import networkx as nx
+
+        rng = random.Random(73)
+        for _ in range(150):
+            G = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5, 0.7]))
+            g = nx.Graph(G.edges())
+            g.add_nodes_from(range(G.n))
+            for u, v in G.edges():
+                n, adj = _contract_edge(G.n, G.adj, u, v)
+                merged = nx.contracted_nodes(g, u, v, self_loops=False)
+                # the contraction keeps u's label and closes the gap left by v
+                expected = nx.convert_node_labels_to_integers(merged, ordering="sorted")
+                assert n == expected.number_of_nodes()
+                assert set(Graph(n, adj).edges()) == {tuple(sorted(e)) for e in expected.edges()}
 
     def test_agreement_with_search(self):
         rng = random.Random(20)
