@@ -327,13 +327,16 @@ def pipeline():
 
 def _pipeline_config(pipeline: str, config_path, params: dict, **fields) -> ExperimentConfig:
     """The config file's settings, or the ``ExperimentConfig`` defaults, with
-    every flag that was given on top; a flag left out is None."""
+    every flag that was given on top; a flag left out is None. These
+    pipelines are randomized, so the result must hold a seed."""
     cfg = ExperimentConfig.from_file(config_path) if config_path else ExperimentConfig()
     cfg.pipeline = pipeline
     for name, value in fields.items():
         if value is not None:
             setattr(cfg, name, value)
     cfg.params.update({key: value for key, value in params.items() if value is not None})
+    if cfg.seed is None:
+        raise click.UsageError(f"pipeline {pipeline} is randomized and requires --seed")
     return cfg
 
 
@@ -352,10 +355,6 @@ def pipeline_conn_cmd(graph, epsilon, seed, attempts, config_path, out):
     """Connectivity-driven bound pipeline."""
     cfg = _pipeline_config("conn", config_path, {"epsilon": epsilon},
                            graph=graph, seed=seed, attempts=attempts)
-    if cfg.graph is None or "epsilon" not in cfg.params:
-        raise click.UsageError("pipeline conn needs --graph and --epsilon (or a config providing them)")
-    if cfg.seed is None:
-        raise click.UsageError("pipeline conn is randomized and requires --seed")
     _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
 
 
@@ -375,10 +374,6 @@ def pipeline_random_cmd(n, epsilon, delta, p, D, seed, attempts, config_path, ou
     cfg = _pipeline_config("random", config_path,
                            {"n": n, "epsilon": epsilon, "delta": delta, "p": p, "D": D},
                            seed=seed, attempts=attempts)
-    if "n" not in cfg.params or "epsilon" not in cfg.params:
-        raise click.UsageError("pipeline random needs -n and --epsilon (or a config providing them)")
-    if cfg.seed is None:
-        raise click.UsageError("pipeline random is randomized and requires --seed")
     _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
 
 
@@ -399,10 +394,6 @@ def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path
     """Isolated-vertex padding pipeline."""
     cfg = _pipeline_config("isolated", config_path, {"k": k}, graph=graph, seed=seed,
                            sample_count=samples, sample_max_vertices=max_n, edge_prob=edge_prob)
-    if cfg.graph is None or "k" not in cfg.params:
-        raise click.UsageError("pipeline isolated needs --graph and -k (or a config providing them)")
-    if cfg.seed is None:
-        raise click.UsageError("pipeline isolated is randomized and requires --seed")
     _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
 
 

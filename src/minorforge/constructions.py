@@ -67,8 +67,10 @@ def pasting_copy_vertices(spec: PastingSpec, copy: int) -> list[int]:
 
     This is the pasting layout: the s attachment vertices come first in
     ascending order, then copy i holds the other vertices, ascending, from
-    s + i*(v(F)-s) on.
+    s + i*(v(F)-s) on. A copy outside ``range(spec.copies)`` raises ValueError.
     """
+    if copy not in range(spec.copies):
+        raise ValueError(f"copy {copy} is outside the {spec.copies} copies of the pasting")
     attach = spec.attach
     s = attach.bit_count()
     offset = s + copy * (spec.graph.n - s)

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from .coloring import list_chromatic_number
+from .coloring import LIST_CHROMATIC_MAX_ORDER, list_chromatic_number
 from .constructions import (
     PastingSpec,
     TwoCliquePartition,
@@ -22,7 +22,7 @@ from .constructions import (
     check_pasting_lower_bound,
     k_fold_pasting,
 )
-from .errors import OPERATION_ERRORS, check_size
+from .errors import OPERATION_ERRORS, check_size, guard_limit
 from .graphs import (
     Graph,
     add_isolated_vertices,
@@ -63,6 +63,63 @@ def _require_seed(seed) -> int:
     if seed is None:
         raise ValueError("randomized pipelines require a seed")
     return int(seed)
+
+
+def _gadget_found(report: RunReport, result) -> bool:
+    """Record the gadget step; a gadget not found ends the run with that verdict."""
+    report.add_step(
+        "gadget",
+        "found" if result.found else "not-found",
+        {"attempts": result.attempts_used, "rejections": len(result.rejections)},
+    )
+    if not result.found:
+        report.verdict = "gadget-not-found"
+        report.notes.append("rejection sampling exhausted its attempt budget; outcome reported, not raised")
+    return result.found
+
+
+def _certify_pasting_bound(report: RunReport, part: TwoCliquePartition, g6F: str) -> None:
+    """Record the factored pasting-bound step and certify the bound it proves."""
+    bound_check = check_pasting_lower_bound(part)
+    report.add_step(
+        "pasting-bound",
+        "certified" if bound_check.certified else "counterexample",
+        {"bound": bound_check.bound, "copies": bound_check.copies,
+         "colorings_checked": bound_check.colorings_checked},
+    )
+    if not bound_check.certified:
+        report.verdict = "bound-not-certified"
+        return
+    report.certified_bound = bound_check.bound
+    report.certify(
+        f"the {bound_check.copies}-fold pasting at A needs at least {bound_check.bound} colors "
+        "in some list assignment",
+        "pasting_bound_certified",
+        {"graph": g6F, "a": part.a_vertices(), "b": part.b_vertices(), "slack": part.slack},
+        True,
+        exhaustive=True,
+    )
+
+
+def _certify_complete_list_chromatic(report: RunReport, m: int) -> None:
+    """Certify that the complete graph on m vertices has list chromatic number m.
+
+    Only up to the exact solver's guard, so that a replay, which re-derives
+    the value by exhaustive search, can always check the line.
+    """
+    if m > guard_limit(LIST_CHROMATIC_MAX_ORDER):
+        report.notes.append("trivial-branch chromatic value exceeds the exact-solver guard; not certified")
+        return
+    # chi(K_m) = m colours are needed even from equal lists, and greedy
+    # colouring along a degeneracy order succeeds from any lists of
+    # degeneracy + 1 = m colours, so chi_l(K_m) = m without a search.
+    report.certify(
+        f"list chromatic number of the complete graph on {m} vertices is {m}",
+        "list_chromatic_number",
+        {"graph": to_graph6(complete_graph(m))},
+        m,
+        exhaustive=True,
+    )
 
 
 @_timed
@@ -107,27 +164,14 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
             {"reason": "kappa below epsilon*n", "bound": n - 1},
         )
         report.certified_bound = n - 1
-        complete_small = complete_graph(n - 1)
         report.certify(
             f"the complete graph on {n - 1} vertices has no minor of the input",
             "minor_free",
-            {"host": to_graph6(complete_small), "pattern": to_graph6(H)},
+            {"host": to_graph6(complete_graph(n - 1)), "pattern": to_graph6(H)},
             True,
             exhaustive=True,
         )
-        if n - 1 <= 8:
-            chi_l = list_chromatic_number(complete_small)
-            report.certify(
-                f"list chromatic number of the complete graph on {n - 1} vertices is {chi_l}",
-                "list_chromatic_number",
-                {"graph": to_graph6(complete_small)},
-                chi_l,
-                exhaustive=True,
-            )
-        else:
-            report.notes.append(
-                "trivial-branch chromatic value exceeds the exact-solver guard; not certified"
-            )
+        _certify_complete_list_chromatic(report, n - 1)
         return report
 
     if epsilon >= Fraction(1, 2):
@@ -136,14 +180,7 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
         )
     seed = _require_seed(cfg.seed)
     result = build_thm_conn_gadget(H, epsilon, seed, cfg.attempts, kappa=kappa)
-    report.add_step(
-        "gadget",
-        "found" if result.found else "not-found",
-        {"attempts": result.attempts_used, "rejections": len(result.rejections)},
-    )
-    if not result.found:
-        report.verdict = "gadget-not-found"
-        report.notes.append("rejection sampling exhausted its attempt budget; outcome reported, not raised")
+    if not _gadget_found(report, result):
         return report
     F, part = result.graph, result.partition
     g6F = to_graph6(F)
@@ -190,25 +227,7 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
         "holds" if glue_ok else "violated",
         {"attachment_clique": a_count, "kappa": kappa},
     )
-    bound_check = check_pasting_lower_bound(part)
-    report.add_step(
-        "pasting-bound",
-        "certified" if bound_check.certified else "counterexample",
-        {"bound": bound_check.bound, "copies": bound_check.copies,
-         "colorings_checked": bound_check.colorings_checked},
-    )
-    if bound_check.certified:
-        report.certified_bound = bound_check.bound
-        report.certify(
-            f"the {bound_check.copies}-fold pasting at A needs at least {bound_check.bound} colors "
-            "in some list assignment",
-            "pasting_bound_certified",
-            {"graph": g6F, "a": part.a_vertices(), "b": part.b_vertices(), "slack": part.slack},
-            True,
-            exhaustive=True,
-        )
-    else:
-        report.verdict = "bound-not-certified"
+    _certify_pasting_bound(report, part, g6F)
     return report
 
 
@@ -285,14 +304,7 @@ def pipeline_random(
     )
 
     result = build_thm_random_gadget(H, delta, p, seed + 1, cfg.attempts)
-    report.add_step(
-        "gadget",
-        "found" if result.found else "not-found",
-        {"attempts": result.attempts_used, "rejections": len(result.rejections)},
-    )
-    if not result.found:
-        report.verdict = "gadget-not-found"
-        report.notes.append("rejection sampling exhausted its attempt budget; outcome reported, not raised")
+    if not _gadget_found(report, result):
         return report
 
     F, part = result.graph, result.partition
@@ -325,24 +337,7 @@ def pipeline_random(
         exhaustive=True,
     )
 
-    bound_check = check_pasting_lower_bound(part)
-    report.add_step(
-        "pasting-bound",
-        "certified" if bound_check.certified else "counterexample",
-        {"bound": bound_check.bound, "copies": bound_check.copies},
-    )
-    if bound_check.certified:
-        report.certified_bound = bound_check.bound
-        report.certify(
-            f"the {bound_check.copies}-fold pasting at A needs at least {bound_check.bound} colors "
-            "in some list assignment",
-            "pasting_bound_certified",
-            {"graph": g6F, "a": part.a_vertices(), "b": part.b_vertices(), "slack": part.slack},
-            True,
-            exhaustive=True,
-        )
-    else:
-        report.verdict = "bound-not-certified"
+    _certify_pasting_bound(report, part, g6F)
     return report
 
 
@@ -365,13 +360,14 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
     seed = _require_seed(cfg.seed)
     H = add_isolated_vertices(F, k)
     vH = H.n
+    max_n = min(cfg.sample_max_vertices, 8)
     d_lower = max(F.n - 1, 0)
     k0 = max(d_lower + 1, 9 * F.n**3)
     report = RunReport(
         pipeline="isolated",
         params={"graph": to_graph6(F), "k": k,
                 "sample_count": cfg.sample_count,
-                "sample_max_vertices": min(cfg.sample_max_vertices, 8),
+                "sample_max_vertices": max_n,
                 "edge_prob": cfg.edge_prob},
         seed=seed,
         n=vH,
@@ -390,22 +386,52 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         )
     report.add_step("pad", "built", {"padded_order": vH, "k0": k0})
 
-    max_n = min(cfg.sample_max_vertices, 8)
+    counts, violations = _isolated_samples(H, seed, cfg.sample_count, max_n, cfg.edge_prob)
+    verdict = "all-degenerate" if not violations else "violations-found"
+    report.add_step("sampling", verdict, {"samples": cfg.sample_count, **counts, "violations": violations})
+    if violations:
+        report.verdict = "exploratory-violations" if k < k0 else "violations-found"
+        report.notes.append(f"violations: {len(violations)} (flagged prominently)")
+    report.certify(
+        f"all {counts['minor_free']} padded-pattern-minor-free samples are {vH - 2}-degenerate "
+        f"and colorable from random lists of size {vH - 1}",
+        "isolated_sampling_summary",
+        {"graph": to_graph6(F), "k": k, "count": cfg.sample_count,
+         "max_n": max_n, "edge_prob": cfg.edge_prob, "seed": seed},
+        counts,
+        witness={"violations": violations},
+    )
+    report.certified_bound = vH - 1
+    _certify_complete_list_chromatic(report, vH - 1)
+    report.certify(
+        f"the complete graph on {vH - 1} vertices has no padded-pattern minor",
+        "minor_free",
+        {"host": to_graph6(complete_graph(vH - 1)), "pattern": to_graph6(H)},
+        True,
+        exhaustive=True,
+    )
+    report.target_bound = float(vH - 1)
+    return report
+
+
+def _isolated_samples(H: Graph, seed: int, count: int, max_n: int, edge_prob: float) -> tuple[dict, list]:
+    """Sample ``count`` random graphs of order at most ``max_n`` and check each
+    one without an H minor for (v(H)-2)-degeneracy and greedy colouring from
+    random lists of size v(H)-1; return the counts and the violations."""
+    vH = H.n
     rng = random.Random(seed)
-    minor_free = 0
-    degenerate_ok = 0
-    coloring_ok = 0
+    counts = {"minor_free": 0, "degenerate_ok": 0, "coloring_ok": 0}
     violations = []
-    for i in range(cfg.sample_count):
+    for i in range(count):
         n_i = rng.randint(1, max_n)
-        edges = [(u, v) for u in range(n_i) for v in range(u + 1, n_i) if rng.random() < cfg.edge_prob]
+        edges = [(u, v) for u in range(n_i) for v in range(u + 1, n_i) if rng.random() < edge_prob]
         sample = Graph.from_edges(n_i, edges)
         if contains_minor(sample, H) is not None:
             continue
-        minor_free += 1
+        counts["minor_free"] += 1
         d, _ = degeneracy(sample)
         if d <= vH - 2:
-            degenerate_ok += 1
+            counts["degenerate_ok"] += 1
         else:
             violations.append({"index": i, "graph": to_graph6(sample), "degeneracy": d})
             continue
@@ -413,48 +439,10 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         lists = [rng.sample(universe, vH - 1) for _ in range(sample.n)]
         try:
             color_by_degeneracy(sample, lists)
-            coloring_ok += 1
+            counts["coloring_ok"] += 1
         except (ValueError, RuntimeError):
             violations.append({"index": i, "graph": to_graph6(sample), "coloring": "failed"})
-    verdict = "all-degenerate" if not violations else "violations-found"
-    report.add_step(
-        "sampling",
-        verdict,
-        {"samples": cfg.sample_count, "minor_free": minor_free,
-         "degenerate_ok": degenerate_ok, "coloring_ok": coloring_ok,
-         "violations": violations},
-    )
-    if violations:
-        report.verdict = "exploratory-violations" if k < k0 else "violations-found"
-        report.notes.append(f"violations: {len(violations)} (flagged prominently)")
-    report.certify(
-        f"all {minor_free} padded-pattern-minor-free samples are {vH - 2}-degenerate "
-        f"and colorable from random lists of size {vH - 1}",
-        "isolated_sampling_summary",
-        {"graph": to_graph6(F), "k": k, "count": cfg.sample_count,
-         "max_n": max_n, "edge_prob": cfg.edge_prob, "seed": seed},
-        {"minor_free": minor_free, "degenerate_ok": degenerate_ok, "coloring_ok": coloring_ok},
-        witness={"violations": violations},
-    )
-    complete_small = complete_graph(vH - 1)
-    chi_l = list_chromatic_number(complete_small)
-    report.certified_bound = chi_l
-    report.certify(
-        f"list chromatic number of the complete graph on {vH - 1} vertices is {chi_l}",
-        "list_chromatic_number",
-        {"graph": to_graph6(complete_small)},
-        chi_l,
-        exhaustive=True,
-    )
-    report.certify(
-        f"the complete graph on {vH - 1} vertices has no padded-pattern minor",
-        "minor_free",
-        {"host": to_graph6(complete_small), "pattern": to_graph6(H)},
-        True,
-        exhaustive=True,
-    )
-    report.target_bound = float(vH - 1)
-    return report
+    return counts, violations
 
 
 @_timed
@@ -548,19 +536,8 @@ def _op_pasting_minor_free(args):
 
 
 def _op_isolated_sampling_summary(args):
-    cfg = ExperimentConfig(
-        seed=args["seed"],
-        sample_count=args["count"],
-        sample_max_vertices=args["max_n"],
-        edge_prob=args["edge_prob"],
-    )
-    report = pipeline_isolated(parse_graph6(args["graph"]), args["k"], cfg)
-    sampling = next(s for s in report.steps if s.name == "sampling")
-    return {
-        "minor_free": sampling.detail["minor_free"],
-        "degenerate_ok": sampling.detail["degenerate_ok"],
-        "coloring_ok": sampling.detail["coloring_ok"],
-    }
+    H = add_isolated_vertices(parse_graph6(args["graph"]), args["k"])
+    return _isolated_samples(H, args["seed"], args["count"], args["max_n"], args["edge_prob"])[0]
 
 
 def _op_best_induced_connectivity(args):
@@ -606,8 +583,23 @@ def replay_report(report_dict: dict) -> list[dict]:
     return results
 
 
+# The inputs each pipeline reads from its config: ``graph`` or a ``params`` key.
+PIPELINE_INPUTS = {
+    "conn": ("graph", "epsilon"),
+    "random": ("n", "epsilon"),
+    "isolated": ("graph", "k"),
+    "mader": ("graph",),
+}
+
+
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
-    """Dispatch a configured pipeline run."""
+    """Dispatch a configured pipeline run; a missing input raises ValueError."""
+    if cfg.pipeline not in PIPELINE_INPUTS:
+        raise ValueError(f"unknown pipeline {cfg.pipeline!r}")
+    missing = [name for name in PIPELINE_INPUTS[cfg.pipeline]
+               if (cfg.graph is None if name == "graph" else name not in cfg.params)]
+    if missing:
+        raise ValueError(f"pipeline {cfg.pipeline} needs {' and '.join(missing)}")
     params = dict(cfg.params)
     if cfg.pipeline == "conn":
         return pipeline_conn(load_graph(cfg.graph), Fraction(str(params["epsilon"])), cfg)
@@ -618,6 +610,4 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         return pipeline_random(n, epsilon, overrides, cfg)
     if cfg.pipeline == "isolated":
         return pipeline_isolated(load_graph(cfg.graph), int(params["k"]), cfg)
-    if cfg.pipeline == "mader":
-        return mader_step_check(load_graph(cfg.graph), cfg)
-    raise ValueError(f"unknown pipeline {cfg.pipeline!r}")
+    return mader_step_check(load_graph(cfg.graph), cfg)

@@ -7,6 +7,7 @@ import configparser
 import csv
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -159,30 +160,41 @@ def determinism_hash(report_dict: dict) -> str:
 def write_run_dir(report: RunReport, out_dir: str | Path) -> Path:
     """Persist report JSON and CSV summary into a run directory.
 
-    A lockfile guards against two runs sharing the directory.
+    A lockfile holding the writer's pid guards against two runs sharing the
+    directory. Both files are written under temporary names and renamed into
+    place only when both are complete, so a failed write leaves neither.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".forge-lock"
     try:
-        fd = lock.open("x")
+        with lock.open("x") as fh:
+            fh.write(f"{os.getpid()}\n")
     except FileExistsError:
         raise RuntimeError(f"run directory {out} is locked by another run") from None
+    report_tmp, summary_tmp = out / ".report.json.tmp", out / ".summary.csv.tmp"
     try:
-        fd.write("locked\n")
-        fd.close()
-        (out / "report.json").write_text(report.to_json() + "\n")
-        with (out / "summary.csv").open("w", newline="") as fh:
+        report_tmp.write_text(report.to_json() + "\n")
+        with summary_tmp.open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerow(report.csv_row())
+        os.replace(report_tmp, out / "report.json")
+        os.replace(summary_tmp, out / "summary.csv")
     finally:
+        report_tmp.unlink(missing_ok=True)
+        summary_tmp.unlink(missing_ok=True)
         lock.unlink(missing_ok=True)
     return out
 
 
 def load_report_dict(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
+
+
+# INI values arrive as strings; the annotations of the numeric fields name
+# the type to convert them to.
+_INI_NUMBERS = {"int": int, "int | None": int, "float": float}
 
 
 @dataclass
@@ -201,30 +213,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        """Load a JSON object, or an INI file whose ``[run]`` section holds the
+        fields and whose ``[params]`` section holds ``params``. A key that is
+        not a field raises ValueError naming it."""
         text = Path(path).read_text()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
+        if text.lstrip().startswith("{"):
             data = json.loads(text)
-            known = {f.name for f in fields(cls)}
-            return cls(**{k: v for k, v in data.items() if k in known})
-        parser = configparser.ConfigParser()
-        parser.read_string(text)
-        cfg = cls()
-        if parser.has_section("run"):
-            run = parser["run"]
-            cfg.pipeline = run.get("pipeline", cfg.pipeline)
-            cfg.graph = run.get("graph", cfg.graph)
-            if "seed" in run:
-                cfg.seed = run.getint("seed")
-            cfg.output_dir = run.get("output_dir", cfg.output_dir)
-            if "attempts" in run:
-                cfg.attempts = run.getint("attempts")
-            if "sample_count" in run:
-                cfg.sample_count = run.getint("sample_count")
-            if "sample_max_vertices" in run:
-                cfg.sample_max_vertices = run.getint("sample_max_vertices")
-            if "edge_prob" in run:
-                cfg.edge_prob = run.getfloat("edge_prob")
-        if parser.has_section("params"):
-            cfg.params = dict(parser["params"])
-        return cfg
+        else:
+            parser = configparser.ConfigParser()
+            parser.read_string(text)
+            sections = {name: dict(parser[name]) for name in parser.sections()}
+            data = sections.pop("run", {})
+            if "params" in sections:
+                data["params"] = sections.pop("params")
+            data.update({f"[{name}]": None for name in sections})  # reported as unknown
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, str) and known[key] in _INI_NUMBERS:
+                try:
+                    data[key] = _INI_NUMBERS[known[key]](value)
+                except ValueError:
+                    raise ValueError(f"config key {key} in {path} is not a number: {value!r}") from None
+        return cls(**data)

@@ -165,6 +165,14 @@ class TestPipelines:
         )
         assert result.exit_code != 0
 
+    def test_missing_inputs_are_named(self, runner):
+        for args, missing in ((["conn", "--graph", "Bw", "--seed", "1"], "epsilon"),
+                              (["random", "--seed", "1"], "n and epsilon"),
+                              (["isolated", "--graph", "Bw", "--seed", "1"], "k")):
+            result = runner.invoke(main, ["pipeline", *args])
+            assert result.exit_code != 0
+            assert f"needs {missing}" in result.output
+
     def test_replay_of_tampered_report_fails(self, runner, tmp_path):
         out = tmp_path / "run"
         invoke_json(

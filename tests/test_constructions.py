@@ -83,6 +83,15 @@ class TestKFoldPasting:
         with pytest.raises(SizeGuardError):
             k_fold_pasting(PastingSpec(complete_graph(6), 0, 1000))
 
+    def test_copy_outside_the_pasting_is_an_error(self):
+        # the 2-fold pasting of a triangle at one vertex has 5 vertices;
+        # copy 5 used to give [0, 11, 12] and copy -3 negative vertices
+        spec = PastingSpec(complete_graph(3), 0b1, 2)
+        assert pasting_copy_vertices(spec, 1) == [0, 3, 4]
+        for copy in (2, 5, -1, -3):
+            with pytest.raises(ValueError, match="outside"):
+                pasting_copy_vertices(spec, copy)
+
 
 def two_clique_graph(a, b, missing):
     """Cliques A = 0..a-1 and B = a..a+b-1, complete across except ``missing``

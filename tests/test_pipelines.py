@@ -1,12 +1,15 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
+from minorforge import coloring, pipelines
 from minorforge.errors import SizeGuardError
 from minorforge.graphio import to_graph6
 from minorforge.graphs import complete_graph, empty_graph, path_graph
 from minorforge.pipelines import (
+    REPLAY_OPS,
     _delta_from_epsilon,
     mader_step_check,
     pipeline_conn,
@@ -229,6 +232,23 @@ class TestReportsAndConfig:
         assert csv_text[1].startswith("mader,4,")
         assert not (out / ".forge-lock").exists()
 
+    def test_failed_write_leaves_no_run_files(self, tmp_path):
+        # a csv_row that raised used to leave report.json and an empty
+        # summary.csv behind
+        report = mader_step_check(complete_graph(4))
+        out = tmp_path / "run"
+        lock_text = []
+
+        def failing_row():
+            lock_text.append((out / ".forge-lock").read_text())
+            raise RuntimeError("row failed")
+
+        report.csv_row = failing_row
+        with pytest.raises(RuntimeError, match="row failed"):
+            write_run_dir(report, out)
+        assert lock_text == [f"{os.getpid()}\n"]
+        assert list(out.iterdir()) == []
+
     def test_lockfile_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "run"
         out.mkdir()
@@ -239,13 +259,30 @@ class TestReportsAndConfig:
     def test_config_json_and_ini(self, tmp_path):
         jpath = tmp_path / "cfg.json"
         jpath.write_text(json.dumps({"pipeline": "mader", "graph": "Bw", "seed": 3, "comment": "x"}))
-        cfg = ExperimentConfig.from_file(jpath)  # unknown keys are ignored
+        with pytest.raises(ValueError, match="comment"):
+            ExperimentConfig.from_file(jpath)
+        jpath.write_text(json.dumps({"pipeline": "mader", "graph": "Bw", "seed": 3}))
+        cfg = ExperimentConfig.from_file(jpath)
         assert (cfg.pipeline, cfg.graph, cfg.seed) == ("mader", "Bw", 3)
         ipath = tmp_path / "cfg.ini"
         ipath.write_text("[run]\npipeline = conn\ngraph = Bw\nseed = 11\n\n[params]\nepsilon = 3/10\n")
         cfg = ExperimentConfig.from_file(ipath)
         assert cfg.pipeline == "conn" and cfg.seed == 11
         assert cfg.params["epsilon"] == "3/10"
+
+    def test_config_typos_are_errors(self, tmp_path):
+        # the misspelt keys used to be dropped, so the run took the defaults
+        # 200 and 300 without a word
+        ipath = tmp_path / "typo.ini"
+        ipath.write_text("[run]\npipeline = isolated\nattempt = 1\nsampel_count = 4\n")
+        with pytest.raises(ValueError, match="attempt, sampel_count"):
+            ExperimentConfig.from_file(ipath)
+        ipath.write_text("[run]\nattempts = 1\nsample_count = 4\nedge_prob = 0.25\n")
+        cfg = ExperimentConfig.from_file(ipath)
+        assert (cfg.attempts, cfg.sample_count, cfg.edge_prob) == (1, 4, 0.25)
+        ipath.write_text("[run]\nseed = abc\n")
+        with pytest.raises(ValueError, match="seed"):
+            ExperimentConfig.from_file(ipath)
 
     def test_replay_records_an_error_per_line(self):
         # a line whose op raises (here a size guard, as under a smaller
@@ -271,6 +308,55 @@ class TestReportsAndConfig:
         with pytest.raises(ValueError, match="unknown pipeline"):
             run_pipeline(ExperimentConfig(pipeline="nope"))
 
+    def test_run_pipeline_names_missing_inputs(self):
+        # these used to raise KeyError: 'epsilon' and AttributeError
+        with pytest.raises(ValueError, match="needs epsilon"):
+            run_pipeline(ExperimentConfig(pipeline="conn", graph="Bw", seed=1))
+        with pytest.raises(ValueError, match="needs graph"):
+            run_pipeline(ExperimentConfig(pipeline="mader"))
+        with pytest.raises(ValueError, match="needs n and epsilon"):
+            run_pipeline(ExperimentConfig(pipeline="random", seed=1))
+        with pytest.raises(ValueError, match="needs graph and k"):
+            run_pipeline(ExperimentConfig(pipeline="isolated", seed=1))
+
+
+# The completing preset of pipeline_random: it reaches the pasting-bound step.
+PRESET_OVERRIDES = {"delta": Fraction(1, 6), "p": Fraction(1, 6), "D": Fraction(3, 2)}
+
+
+class TestStepsAndReplayOps:
+    def test_complete_list_chromatic_lines_need_no_search(self, monkeypatch):
+        calls = []
+        original = coloring.list_chromatic_number
+
+        def counted(G, **kwargs):
+            calls.append(G.n)
+            return original(G, **kwargs)
+
+        monkeypatch.setattr(coloring, "list_chromatic_number", counted)
+        monkeypatch.setattr(pipelines, "list_chromatic_number", counted)
+        trivial = pipeline_conn(complete_graph(6), Fraction(9, 10), small_cfg())
+        isolated = pipeline_isolated(complete_graph(3), 3, small_cfg(seed=7))
+        assert calls == []
+        for report, m in ((trivial, 5), (isolated, 5)):
+            line = next(c for c in report.certified if c["replay"]["op"] == "list_chromatic_number")
+            assert line["replay"]["expect"] == m
+        # the replay re-derives the line by the exhaustive search, once
+        assert all(r["ok"] for r in replay_report(isolated.to_dict()))
+        assert calls == [5]
+
+    def test_every_replay_op_is_emitted(self):
+        reports = [
+            pipeline_conn(complete_graph(6), Fraction(3, 10), small_cfg()),
+            pipeline_conn(complete_graph(6), Fraction(9, 10), small_cfg()),
+            pipeline_random(6, Fraction(4, 5), PRESET_OVERRIDES, ExperimentConfig(seed=1)),
+            pipeline_isolated(complete_graph(3), 3, small_cfg(seed=7)),
+            mader_step_check(complete_graph(6)),
+        ]
+        emitted = {c["replay"]["op"] for report in reports for c in report.certified}
+        assert emitted == set(REPLAY_OPS)
+        assert all(r["ok"] for report in reports for r in replay_report(report.to_dict()))
+
 
 README_OVERRIDES = {"delta": Fraction(1, 10), "p": Fraction(1, 20), "D": Fraction(2)}
 
@@ -294,6 +380,14 @@ PINNED_REPORTS = {
     "isolated-K3-k3": (
         lambda: pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7)),
         "9954f61fa951cfa5744ff013ebc9c0f24f3d655d3e2eb4b29b15e52ce0eedac8",
+    ),
+    "conn-K6-trivial": (
+        lambda: pipeline_conn(complete_graph(6), Fraction(9, 10), ExperimentConfig(seed=7)),
+        "76764dd73e6818beed9849f3812eab6ce1edb8846bb8c6f14558dc2279dfb1e2",
+    ),
+    "random-n6-preset": (
+        lambda: pipeline_random(6, Fraction(4, 5), PRESET_OVERRIDES, ExperimentConfig(seed=1)),
+        "5aef0e6e48ca1e78b9e3c4a369b4aa81b9c6da7c526ec26b4f9b95434f36d56f",
     ),
     "mader-K6": (
         lambda: mader_step_check(complete_graph(6)),
