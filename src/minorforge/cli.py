@@ -20,7 +20,7 @@ from .constructions import (
 )
 from .errors import OPERATION_ERRORS
 from .graphio import load_graph, read_path_or_text, to_graph6
-from .graphs import mask_of
+from .graphs import BipartiteGraph, mask_of
 from .minors import contains_minor, hadwiger_number, verify_model
 from .pipelines import replay_report, run_pipeline
 from .random_models import (
@@ -163,6 +163,19 @@ def check_property():
     """Exact or falsifying pseudo-random property checks."""
 
 
+def _emit_property_report(mode: str, seed, check) -> None:
+    """Run ``check`` and emit its report; falsify mode needs ``--seed``."""
+    if mode == "falsify" and seed is None:
+        raise click.UsageError("falsify mode requires --seed")
+    report = check()
+    _emit({
+        "verdict": report.verdict,
+        "witness": report.witness,
+        "nodes_explored": report.nodes_explored,
+        "trials": report.trials,
+    })
+
+
 @check_property.command("q")
 @click.option("--graph", required=True, help="Graph to check")
 @click.option("--delta", required=True, help="Linear-size fraction (rational, e.g. 1/2)")
@@ -174,17 +187,10 @@ def check_property():
 @forge_errors
 def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
     """Edge spread between all pairs of linear-size disjoint vertex sets."""
-    if mode == "falsify" and seed is None:
-        raise click.UsageError("falsify mode requires --seed")
-    H = load_graph(graph)
-    params = PropertyQParams(Fraction(delta), Fraction(D))
-    report = check_property_Q(H, params, mode, pairs=pairs, budget=budget, seed=seed)
-    _emit({
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "nodes_explored": report.nodes_explored,
-        "trials": report.trials,
-    })
+    _emit_property_report(mode, seed, lambda: check_property_Q(
+        load_graph(graph), PropertyQParams(Fraction(delta), Fraction(D)), mode,
+        pairs=pairs, budget=budget, seed=seed,
+    ))
 
 
 @check_property.command("p")
@@ -201,23 +207,16 @@ def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
 @forge_errors
 def check_property_p_cmd(graph, bip_path, delta, s, mode, k_l_range, budget, node_budget, seed):
     """Joined-pair property of a bipartite host against a pattern graph."""
-    if mode == "falsify" and seed is None:
-        raise click.UsageError("falsify mode requires --seed")
-    H = load_graph(graph)
-    spec = json.loads(read_path_or_text(bip_path))
-    from .graphs import BipartiteGraph
 
-    B = BipartiteGraph.from_edges(spec["a_size"], spec["b_size"],
-                                  [tuple(e) for e in spec["edges"]])
-    params = PropertyPParams(Fraction(delta), s)
-    report = check_property_P(B, H, params, mode, k_l_range=k_l_range,
-                              node_budget=node_budget, budget=budget, seed=seed)
-    _emit({
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "nodes_explored": report.nodes_explored,
-        "trials": report.trials,
-    })
+    def check():
+        H = load_graph(graph)
+        spec = json.loads(read_path_or_text(bip_path))
+        B = BipartiteGraph.from_edges(spec["a_size"], spec["b_size"],
+                                      [tuple(e) for e in spec["edges"]])
+        return check_property_P(B, H, PropertyPParams(Fraction(delta), s), mode, k_l_range=k_l_range,
+                                node_budget=node_budget, budget=budget, seed=seed)
+
+    _emit_property_report(mode, seed, check)
 
 
 # ---------------------------------------------------------------------------

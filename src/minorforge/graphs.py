@@ -399,25 +399,29 @@ def vertex_connectivity(G: Graph) -> int:
 
 
 def find_clique(G: Graph, k: int) -> VertexSet | None:
-    """A k-clique as a vertex mask, or None; witness is lexicographically least."""
+    """A k-clique as a vertex mask, or None; witness is lexicographically least.
+
+    Depth-first over cliques grown in ascending vertex order, with an
+    explicit stack so that no input size can exhaust the recursion limit.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > G.n:
         return None
-
-    def extend(chosen: int, count: int, cand: int) -> int | None:
+    # each frame: the clique so far, its size, and the candidates not yet
+    # tried, all above the clique's last vertex and adjacent to all of it
+    stack = [(0, 0, G.vertex_mask())]
+    while stack:
+        chosen, count, cand = stack[-1]
         if count == k:
             return chosen
         if count + cand.bit_count() < k:
-            return None
-        for v in bits(cand):
-            above = ~((1 << (v + 1)) - 1)
-            got = extend(chosen | 1 << v, count + 1, cand & G.adj[v] & above)
-            if got is not None:
-                return got
-        return None
-
-    return extend(0, 0, G.vertex_mask())
+            stack.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = (chosen, count, cand ^ low)
+        stack.append((chosen | low, count + 1, (cand ^ low) & G.adj[low.bit_length() - 1]))
+    return None
 
 
 def turan_threshold_exceeded(G: Graph, k: int) -> bool:

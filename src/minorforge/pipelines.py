@@ -101,14 +101,15 @@ def _certify_pasting_bound(report: RunReport, part: TwoCliquePartition, g6F: str
     )
 
 
-def _certify_complete_list_chromatic(report: RunReport, m: int) -> None:
+def _certify_complete_list_chromatic(report: RunReport, m: int, subject: str) -> None:
     """Certify that the complete graph on m vertices has list chromatic number m.
 
     Only up to the exact solver's guard, so that a replay, which re-derives
-    the value by exhaustive search, can always check the line.
+    the value by exhaustive search, can always check the line; above it a
+    note names the caller's ``subject`` instead.
     """
     if m > guard_limit(LIST_CHROMATIC_MAX_ORDER):
-        report.notes.append("trivial-branch chromatic value exceeds the exact-solver guard; not certified")
+        report.notes.append(f"{subject} chromatic value exceeds the exact-solver guard; not certified")
         return
     # chi(K_m) = m colours are needed even from equal lists, and greedy
     # colouring along a degeneracy order succeeds from any lists of
@@ -171,7 +172,7 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
             True,
             exhaustive=True,
         )
-        _certify_complete_list_chromatic(report, n - 1)
+        _certify_complete_list_chromatic(report, n - 1, "trivial-branch")
         return report
 
     if epsilon >= Fraction(1, 2):
@@ -233,10 +234,7 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
 
 def _delta_from_epsilon(epsilon: Fraction) -> Fraction:
     """Largest multiple of 1/100 with 7*delta < epsilon."""
-    k = (100 * epsilon - 1) // 7  # largest k with 7k/100 < epsilon
-    k = int(k)
-    while Fraction(7 * (k + 1), 100) < epsilon:
-        k += 1
+    k = math.ceil(100 * epsilon / 7) - 1  # largest integer k < 100*epsilon/7
     if k < 1:
         raise ValueError("epsilon is too small for the 1/100 grid of delta values")
     return Fraction(k, 100)
@@ -402,7 +400,7 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         witness={"violations": violations},
     )
     report.certified_bound = vH - 1
-    _certify_complete_list_chromatic(report, vH - 1)
+    _certify_complete_list_chromatic(report, vH - 1, "padded-pattern")
     report.certify(
         f"the complete graph on {vH - 1} vertices has no padded-pattern minor",
         "minor_free",

@@ -109,6 +109,67 @@ def sample_gnm_sequential(n: int, m: int, seed: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# the pair search behind both properties
+
+
+def _pair_search(H: Graph, delta, mode: str, minimal: bool, budget: int, seed: int | None,
+                 violation, name: str, node_budget=math.inf) -> PropertyReport:
+    """Search disjoint vertex tuples xs, ys of H for a violation of property ``name``.
+
+    ``violation(xs, ys, edges, rng, spend)`` gets each pair, the number of H
+    edges between its two sides, the falsify generator (None in exact mode)
+    and a node counter, and returns a witness or None. With r =
+    ceil(delta*n), exact mode enumerates every size pair k, l >= r (only
+    k = l = r when ``minimal``) and, within one, the tuples in
+    lexicographic order; each pair and each ``spend()`` is a node, and more
+    than ``node_budget`` nodes raise BudgetExceededError. Falsify mode
+    draws ``budget`` seeded pairs with k = l = r and can only return
+    ``fails`` or ``inconclusive``.
+    """
+    n = H.n
+    r = math.ceil(delta * n)
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"property {name} exact enumeration exceeded {node_budget} nodes")
+
+    if mode == "falsify":
+        if seed is None:
+            raise ValueError("falsify mode needs a seed")
+        rng = random.Random(seed)
+        if 2 * r > n or r < 1:
+            return PropertyReport(VERDICT_INCONCLUSIVE, trials=0, seed=seed)
+        for trial in range(budget):
+            sample = rng.sample(range(n), 2 * r)
+            xs, ys = tuple(sorted(sample[:r])), tuple(sorted(sample[r:]))
+            witness = violation(xs, ys, edges_between(H, mask_of(xs), mask_of(ys)), rng, spend)
+            if witness is not None:
+                return PropertyReport(VERDICT_FAILS, witness, trials=trial + 1, seed=seed)
+        return PropertyReport(VERDICT_INCONCLUSIVE, trials=budget, seed=seed)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    low = max(r, 1)
+    sizes = [
+        (k, l) for k in range(low, n + 1) for l in range(low, n + 1 - k)
+        if not minimal or k == l == r
+    ]
+    for k, l in sizes:
+        for xs in combinations(range(n), k):
+            x_mask = mask_of(xs)
+            rest = [v for v in range(n) if not x_mask >> v & 1]
+            for ys in combinations(rest, l):
+                spend()
+                witness = violation(xs, ys, edges_between(H, x_mask, mask_of(ys)), None, spend)
+                if witness is not None:
+                    return PropertyReport(VERDICT_FAILS, witness, nodes_explored=nodes)
+    return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)
+
+
+# ---------------------------------------------------------------------------
 # property Q
 
 
@@ -134,53 +195,14 @@ def check_property_Q(
     Falsify mode samples random pairs under a budget and can only return
     ``fails`` or ``inconclusive``.
     """
-    n = H.n
-    r = math.ceil(params.delta * n)
-    threshold = _q_threshold(params.D, n)
-    if mode == "exact":
-        nodes = 0
-        sizes = [(r, r)] if pairs == "minimal" else [
-            (sa, sb) for sa in range(r, n + 1) for sb in range(r, n + 1 - sa)
-        ]
-        for sa, sb in sizes:
-            if sa + sb > n or sa < 1 or sb < 1:
-                continue
-            for combo_a in combinations(range(n), sa):
-                A = mask_of(combo_a)
-                rest = [v for v in range(n) if not A >> v & 1]
-                for combo_b in combinations(rest, sb):
-                    B = mask_of(combo_b)
-                    nodes += 1
-                    if edges_between(H, A, B) < threshold:
-                        return PropertyReport(
-                            VERDICT_FAILS,
-                            witness={"A": list(combo_a), "B": list(combo_b),
-                                     "edges": edges_between(H, A, B),
-                                     "threshold": threshold},
-                            nodes_explored=nodes,
-                        )
-        return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)
-    if mode == "falsify":
-        if seed is None:
-            raise ValueError("falsify mode needs a seed")
-        rng = random.Random(seed)
-        if 2 * r > n or r < 1:
-            return PropertyReport(VERDICT_INCONCLUSIVE, trials=0, seed=seed)
-        for trial in range(budget):
-            sample = rng.sample(range(n), 2 * r)
-            combo_a, combo_b = sorted(sample[:r]), sorted(sample[r:])
-            A, B = mask_of(combo_a), mask_of(combo_b)
-            e = edges_between(H, A, B)
-            if e < threshold:
-                return PropertyReport(
-                    VERDICT_FAILS,
-                    witness={"A": combo_a, "B": combo_b, "edges": e,
-                             "threshold": threshold},
-                    trials=trial + 1,
-                    seed=seed,
-                )
-        return PropertyReport(VERDICT_INCONCLUSIVE, trials=budget, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    threshold = _q_threshold(params.D, H.n)
+
+    def violation(xs, ys, edges, rng, spend):
+        if edges >= threshold:
+            return None
+        return {"A": list(xs), "B": list(ys), "edges": edges, "threshold": threshold}
+
+    return _pair_search(H, params.delta, mode, pairs == "minimal", budget, seed, violation, "Q")
 
 
 def property_q_witness_violates(H: Graph, params: PropertyQParams, witness: dict) -> bool:
@@ -197,15 +219,6 @@ def property_q_witness_violates(H: Graph, params: PropertyQParams, witness: dict
 
 # ---------------------------------------------------------------------------
 # property P
-
-
-def _admissible_edge_pairs(H: Graph, xs: tuple[int, ...], ys: tuple[int, ...]):
-    return [
-        (i, j)
-        for i, x in enumerate(xs)
-        for j, y in enumerate(ys)
-        if H.has_edge(x, y)
-    ]
 
 
 def check_property_P(
@@ -232,53 +245,31 @@ def check_property_P(
     ``fails`` or ``inconclusive``. Node budget exhaustion in exact mode is
     an error, not a verdict.
     """
-    n = H.n
-    r = math.ceil(params.delta * n)
-    cap = math.floor(1 / params.delta)
-    if mode == "falsify":
-        return _falsify_property_P(G, H, params, budget, seed)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    nodes = 0
-
-    def spend(amount: int = 1) -> None:
-        nonlocal nodes
-        nodes += amount
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"property P exact enumeration exceeded {node_budget} nodes"
-            )
-
-    if k_l_range == "minimal":
-        kl_pairs = [(r, r)] if 2 * r <= n and r >= 1 else []
-    elif k_l_range == "full":
-        kl_pairs = [
-            (k, l) for k in range(max(r, 1), n + 1) for l in range(max(r, 1), n + 1 - k)
-        ]
-    else:
+    if mode == "exact" and k_l_range not in ("minimal", "full"):
         raise ValueError(f"unknown k_l_range {k_l_range!r}")
+    cap = math.floor(1 / params.delta)
 
-    for k, l in kl_pairs:
-        for xs in combinations(range(n), k):
-            x_mask = mask_of(xs)
-            rest = [v for v in range(n) if not x_mask >> v & 1]
-            for ys in combinations(rest, l):
-                spend()
-                if edges_between(H, x_mask, mask_of(ys)) < params.s:
-                    continue
-                edge_pairs = _admissible_edge_pairs(H, xs, ys)
-                witness_sets = _violating_family(G, k, l, edge_pairs, cap, spend)
-                if witness_sets is not None:
-                    X_sets, Y_sets = witness_sets
-                    return PropertyReport(
-                        VERDICT_FAILS,
-                        witness={"k": k, "l": l, "xs": list(xs), "ys": list(ys),
-                                 "X": [sorted(bits(s)) for s in X_sets],
-                                 "Y": [sorted(bits(s)) for s in Y_sets]},
-                        nodes_explored=nodes,
-                    )
-    return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)
+    def violation(xs, ys, edges, rng, spend):
+        if edges < params.s:
+            return None
+        edge_pairs = [(i, j) for i, x in enumerate(xs) for j, y in enumerate(ys) if H.has_edge(x, y)]
+        if rng is None:
+            family = _violating_family(G, len(xs), len(ys), edge_pairs, cap, spend)
+        else:  # a random family, kept only if the straight-line recheck accepts it
+            X_sets = _random_disjoint_sets(rng, G.a_size, len(xs), cap, {i for i, _ in edge_pairs})
+            Y_sets = _random_disjoint_sets(rng, G.b_size, len(ys), cap, {j for _, j in edge_pairs})
+            family = None if X_sets is None or Y_sets is None else (X_sets, Y_sets)
+        if family is None:
+            return None
+        witness = {"k": len(xs), "l": len(ys), "xs": list(xs), "ys": list(ys),
+                   "X": [sorted(bits(s)) for s in family[0]],
+                   "Y": [sorted(bits(s)) for s in family[1]]}
+        if rng is None or property_p_witness_violates(G, H, params, witness):
+            return witness
+        return None
+
+    return _pair_search(H, params.delta, mode, k_l_range == "minimal", budget, seed,
+                        violation, "P", node_budget)
 
 
 def _violating_family(G: BipartiteGraph, k: int, l: int, edge_pairs, cap: int, spend):
@@ -347,37 +338,9 @@ def _violating_family(G: BipartiteGraph, k: int, l: int, edge_pairs, cap: int, s
     return None
 
 
-def _falsify_property_P(G, H, params, budget, seed):
-    if seed is None:
-        raise ValueError("falsify mode needs a seed")
-    rng = random.Random(seed)
-    n = H.n
-    r = math.ceil(params.delta * n)
-    cap = math.floor(1 / params.delta)
-    if 2 * r > n or r < 1:
-        return PropertyReport(VERDICT_INCONCLUSIVE, trials=0, seed=seed)
-    for trial in range(budget):
-        sample = rng.sample(range(n), 2 * r)
-        xs, ys = tuple(sorted(sample[:r])), tuple(sorted(sample[r:]))
-        if edges_between(H, mask_of(xs), mask_of(ys)) < params.s:
-            continue
-        edge_pairs = _admissible_edge_pairs(H, xs, ys)
-        X_sets, ok_x = _random_disjoint_sets(rng, G.a_size, r, cap,
-                                             {i for i, _ in edge_pairs})
-        Y_sets, ok_y = _random_disjoint_sets(rng, G.b_size, r, cap,
-                                             {j for _, j in edge_pairs})
-        if not (ok_x and ok_y):
-            continue
-        witness = {"k": r, "l": r, "xs": list(xs), "ys": list(ys),
-                   "X": [sorted(bits(s)) for s in X_sets],
-                   "Y": [sorted(bits(s)) for s in Y_sets]}
-        if property_p_witness_violates(G, H, params, witness):
-            return PropertyReport(VERDICT_FAILS, witness=witness,
-                                  trials=trial + 1, seed=seed)
-    return PropertyReport(VERDICT_INCONCLUSIVE, trials=budget, seed=seed)
-
-
-def _random_disjoint_sets(rng, universe: int, count: int, cap: int, needed):
+def _random_disjoint_sets(rng, universe: int, count: int, cap: int, needed) -> list[int] | None:
+    """Disjoint random sets of 1..cap vertices at the ``needed`` positions, or
+    None when the universe runs out."""
     pool = list(range(universe))
     rng.shuffle(pool)
     sets = [0] * count
@@ -386,9 +349,9 @@ def _random_disjoint_sets(rng, universe: int, count: int, cap: int, needed):
             continue
         size = rng.randint(1, cap)
         if len(pool) < size:
-            return sets, False
+            return None
         sets[idx] = mask_of(pool.pop() for _ in range(size))
-    return sets, True
+    return sets
 
 
 def property_p_witness_violates(
@@ -435,22 +398,22 @@ def property_p_witness_violates(
 # bound formulas and constants
 
 
-def chernoff_upper(mu, delta) -> float:
-    """exp(-delta^2 mu / 3): upper-tail bound at (1+delta) times the mean."""
+def _chernoff(mu, delta, divisor: int) -> float:
     if mu <= 0:
         raise ValueError("mu must be positive")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    return math.exp(-float(Fraction(delta) ** 2 * Fraction(mu)) / 3)
+    return math.exp(-float(Fraction(delta) ** 2 * Fraction(mu)) / divisor)
+
+
+def chernoff_upper(mu, delta) -> float:
+    """exp(-delta^2 mu / 3): upper-tail bound at (1+delta) times the mean."""
+    return _chernoff(mu, delta, 3)
 
 
 def chernoff_lower(mu, delta) -> float:
     """exp(-delta^2 mu / 2): lower-tail bound at (1-delta) times the mean."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
-    return math.exp(-float(Fraction(delta) ** 2 * Fraction(mu)) / 2)
+    return _chernoff(mu, delta, 2)
 
 
 def _inv_delta_sq(delta: Fraction) -> Fraction:

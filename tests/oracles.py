@@ -5,9 +5,12 @@ enumeration over product spaces, subsets, or permutations. The
 exceptions are frozen copies of earlier production code, kept to pin the
 exact values the current code returns: the plain list-coloring
 backtracker, the pasting verifier's loop over every injective A-coloring,
-and the induced-pattern minor sweep over every size.
+the induced-pattern minor sweep over every size, and the four
+hand-written pair searches of the two pseudo-random property checkers.
 """
 
+import math
+import random
 from itertools import combinations, permutations, product
 
 from minorforge.coloring import ListAssignment
@@ -211,3 +214,154 @@ def reference_minor_free_all_induced(host: Graph, pattern: Graph, min_size: int)
             if contains_minor(host, induced_subgraph(pattern, mask_of(combo))) is not None:
                 return False
     return True
+
+
+def reference_check_property_Q(H, params, mode="exact", *, pairs="minimal", budget=10_000, seed=None):
+    """``check_property_Q`` as it stood before the shared pair search: one
+    hand-written loop for exact mode and one for falsify mode."""
+    from minorforge.graphs import edges_between
+    from minorforge.random_models import (
+        VERDICT_FAILS, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, PropertyReport, _q_threshold,
+    )
+
+    n = H.n
+    r = math.ceil(params.delta * n)
+    threshold = _q_threshold(params.D, n)
+    if mode == "exact":
+        nodes = 0
+        sizes = [(r, r)] if pairs == "minimal" else [
+            (sa, sb) for sa in range(r, n + 1) for sb in range(r, n + 1 - sa)
+        ]
+        for sa, sb in sizes:
+            if sa + sb > n or sa < 1 or sb < 1:
+                continue
+            for combo_a in combinations(range(n), sa):
+                A = mask_of(combo_a)
+                rest = [v for v in range(n) if not A >> v & 1]
+                for combo_b in combinations(rest, sb):
+                    B = mask_of(combo_b)
+                    nodes += 1
+                    if edges_between(H, A, B) < threshold:
+                        return PropertyReport(
+                            VERDICT_FAILS,
+                            witness={"A": list(combo_a), "B": list(combo_b),
+                                     "edges": edges_between(H, A, B),
+                                     "threshold": threshold},
+                            nodes_explored=nodes,
+                        )
+        return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)
+    if mode == "falsify":
+        if seed is None:
+            raise ValueError("falsify mode needs a seed")
+        rng = random.Random(seed)
+        if 2 * r > n or r < 1:
+            return PropertyReport(VERDICT_INCONCLUSIVE, trials=0, seed=seed)
+        for trial in range(budget):
+            sample = rng.sample(range(n), 2 * r)
+            combo_a, combo_b = sorted(sample[:r]), sorted(sample[r:])
+            A, B = mask_of(combo_a), mask_of(combo_b)
+            e = edges_between(H, A, B)
+            if e < threshold:
+                return PropertyReport(
+                    VERDICT_FAILS,
+                    witness={"A": combo_a, "B": combo_b, "edges": e,
+                             "threshold": threshold},
+                    trials=trial + 1,
+                    seed=seed,
+                )
+        return PropertyReport(VERDICT_INCONCLUSIVE, trials=budget, seed=seed)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def reference_check_property_P(G, H, params, mode="exact", *, k_l_range="full",
+                               node_budget=2_000_000, budget=10_000, seed=None):
+    """``check_property_P`` as it stood before the shared pair search, with
+    its falsify loop and edge-pair helper. The set-family search
+    ``_violating_family`` and the witness recheck are the production ones,
+    which the pair search left as they were."""
+    from minorforge.errors import BudgetExceededError
+    from minorforge.graphs import edges_between
+    from minorforge.random_models import (
+        VERDICT_FAILS, VERDICT_HOLDS, VERDICT_INCONCLUSIVE, PropertyReport,
+        _violating_family, property_p_witness_violates,
+    )
+
+    def admissible_edge_pairs(xs, ys):
+        return [(i, j) for i, x in enumerate(xs) for j, y in enumerate(ys) if H.has_edge(x, y)]
+
+    def random_disjoint_sets(rng, universe, count, cap, needed):
+        pool = list(range(universe))
+        rng.shuffle(pool)
+        sets = [0] * count
+        for idx in range(count):
+            if idx not in needed:
+                continue
+            size = rng.randint(1, cap)
+            if len(pool) < size:
+                return sets, False
+            sets[idx] = mask_of(pool.pop() for _ in range(size))
+        return sets, True
+
+    n = H.n
+    r = math.ceil(params.delta * n)
+    cap = math.floor(1 / params.delta)
+    if mode == "falsify":
+        if seed is None:
+            raise ValueError("falsify mode needs a seed")
+        rng = random.Random(seed)
+        if 2 * r > n or r < 1:
+            return PropertyReport(VERDICT_INCONCLUSIVE, trials=0, seed=seed)
+        for trial in range(budget):
+            sample = rng.sample(range(n), 2 * r)
+            xs, ys = tuple(sorted(sample[:r])), tuple(sorted(sample[r:]))
+            if edges_between(H, mask_of(xs), mask_of(ys)) < params.s:
+                continue
+            edge_pairs = admissible_edge_pairs(xs, ys)
+            X_sets, ok_x = random_disjoint_sets(rng, G.a_size, r, cap, {i for i, _ in edge_pairs})
+            Y_sets, ok_y = random_disjoint_sets(rng, G.b_size, r, cap, {j for _, j in edge_pairs})
+            if not (ok_x and ok_y):
+                continue
+            witness = {"k": r, "l": r, "xs": list(xs), "ys": list(ys),
+                       "X": [sorted(bits(s)) for s in X_sets],
+                       "Y": [sorted(bits(s)) for s in Y_sets]}
+            if property_p_witness_violates(G, H, params, witness):
+                return PropertyReport(VERDICT_FAILS, witness=witness, trials=trial + 1, seed=seed)
+        return PropertyReport(VERDICT_INCONCLUSIVE, trials=budget, seed=seed)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    nodes = 0
+
+    def spend(amount=1):
+        nonlocal nodes
+        nodes += amount
+        if nodes > node_budget:
+            raise BudgetExceededError(f"property P exact enumeration exceeded {node_budget} nodes")
+
+    if k_l_range == "minimal":
+        kl_pairs = [(r, r)] if 2 * r <= n and r >= 1 else []
+    elif k_l_range == "full":
+        kl_pairs = [(k, l) for k in range(max(r, 1), n + 1) for l in range(max(r, 1), n + 1 - k)]
+    else:
+        raise ValueError(f"unknown k_l_range {k_l_range!r}")
+
+    for k, l in kl_pairs:
+        for xs in combinations(range(n), k):
+            x_mask = mask_of(xs)
+            rest = [v for v in range(n) if not x_mask >> v & 1]
+            for ys in combinations(rest, l):
+                spend()
+                if edges_between(H, x_mask, mask_of(ys)) < params.s:
+                    continue
+                edge_pairs = admissible_edge_pairs(xs, ys)
+                witness_sets = _violating_family(G, k, l, edge_pairs, cap, spend)
+                if witness_sets is not None:
+                    X_sets, Y_sets = witness_sets
+                    return PropertyReport(
+                        VERDICT_FAILS,
+                        witness={"k": k, "l": l, "xs": list(xs), "ys": list(ys),
+                                 "X": [sorted(bits(s)) for s in X_sets],
+                                 "Y": [sorted(bits(s)) for s in Y_sets]},
+                        nodes_explored=nodes,
+                    )
+    return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)

@@ -1,13 +1,18 @@
 import json
+import shlex
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from minorforge.cli import main
 from minorforge.graphio import to_graph6
-from minorforge.graphs import complete_graph
+from minorforge.graphs import BipartiteGraph, complete_graph, empty_graph
+from minorforge.random_models import PropertyPParams, PropertyQParams
 
 from .conftest import petersen_graph
+from .oracles import reference_check_property_P, reference_check_property_Q
 
 
 @pytest.fixture
@@ -122,12 +127,31 @@ class TestProperties:
         assert data["verdict"] in {"holds", "fails"}
 
     def test_falsify_needs_seed(self, runner):
-        result = runner.invoke(
-            main,
-            ["check-property", "q", "--graph", "Bw", "--delta", "1/2", "-d", "3/2",
-             "--mode", "falsify"],
+        for args in (["q", "--graph", "Bw", "--delta", "1/2", "-d", "3/2"],
+                     ["p", "--graph", to_graph6(complete_graph(4)),
+                      "--bipartite", json.dumps({"a_size": 4, "b_size": 4, "edges": []}),
+                      "--delta", "1/2", "-s", "1"]):
+            result = runner.invoke(main, ["check-property", *args, "--mode", "falsify"])
+            assert result.exit_code == 2
+            assert "falsify mode requires --seed" in result.output
+
+    def test_falsify_output_with_a_seed(self, runner):
+        cases = (
+            (["q", "--graph", to_graph6(empty_graph(6)), "--delta", "1/2", "-D", "3/2",
+              "--budget", "500", "--seed", "4"],
+             reference_check_property_Q(empty_graph(6), PropertyQParams(Fraction(1, 2), Fraction(3, 2)),
+                                        "falsify", budget=500, seed=4)),
+            (["p", "--graph", to_graph6(complete_graph(4)),
+              "--bipartite", json.dumps({"a_size": 4, "b_size": 4, "edges": []}),
+              "--delta", "1/2", "-s", "1", "--budget", "3000", "--seed", "11"],
+             reference_check_property_P(BipartiteGraph.from_edges(4, 4, []), complete_graph(4),
+                                        PropertyPParams(Fraction(1, 2), 1), "falsify", budget=3000, seed=11)),
         )
-        assert result.exit_code != 0
+        for args, expected in cases:
+            assert expected.verdict == "fails" and expected.trials > 0
+            data = invoke_json(runner, ["check-property", *args, "--mode", "falsify"])
+            assert data == {"verdict": expected.verdict, "witness": expected.witness,
+                            "nodes_explored": expected.nodes_explored, "trials": expected.trials}
 
 
 class TestPasting:
@@ -231,6 +255,19 @@ class TestPipelines:
              "--seed", "7", "--samples", "40"],
         )
         assert data["verdict"] == "completed"
+
+    def test_readme_random_example_completes_and_replays(self, runner, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        line = next(text for text in readme.read_text().splitlines()
+                    if text.startswith("forge pipeline random "))
+        out = tmp_path / "run"
+        data = invoke_json(runner, [*shlex.split(line)[1:], "--out", str(out)])
+        assert data["verdict"] == "completed"
+        assert len(data["steps"]) == 7 and data["certified_bound"] == 5
+        replayed = invoke_json(runner, ["replay", "--report", str(out / "report.json")])
+        assert replayed["all_reproduced"] is True
+        assert len(replayed["lines"]) == len(data["certified"])
+        assert all(line["ok"] for line in replayed["lines"])
 
     def test_random(self, runner):
         data = invoke_json(

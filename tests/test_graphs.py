@@ -250,6 +250,18 @@ class TestFindClique:
         with pytest.raises(ValueError):
             find_clique(complete_graph(3), 0)
 
+    def test_witness_is_the_first_clique_in_lexicographic_order(self):
+        from itertools import combinations
+
+        for G in random_graph_corpus(seed=56, count=60, max_n=9):
+            for k in range(1, G.n + 1):
+                first = next((mask_of(c) for c in combinations(range(G.n), k)
+                              if is_clique(G, mask_of(c))), None)
+                assert find_clique(G, k) == first
+
+    def test_clique_larger_than_the_recursion_limit(self):
+        assert find_clique(complete_graph(1200), 1200) == (1 << 1200) - 1
+
 
 class TestTuranThreshold:
     def test_k4_with_k3(self):

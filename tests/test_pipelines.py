@@ -163,6 +163,17 @@ class TestPipelineIsolated:
         with pytest.raises(SizeGuardError):
             pipeline_isolated(complete_graph(3), 7, small_cfg())
 
+    def test_note_above_the_list_chromatic_guard(self, monkeypatch):
+        # v(H) - 1 = 17 is above the scaled guard of 16: the line is not
+        # certified, and the note names this pipeline's value, not conn's
+        # trivial branch
+        monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
+        report = pipeline_isolated(empty_graph(1), 17, ExperimentConfig(seed=1, sample_count=20))
+        assert report.certified_bound == 17
+        assert not any(c["replay"]["op"] == "list_chromatic_number" for c in report.certified)
+        assert "padded-pattern chromatic value exceeds the exact-solver guard; not certified" in report.notes
+        assert not any("trivial-branch" in note for note in report.notes)
+
     def test_determinism_and_replay(self):
         first = pipeline_isolated(complete_graph(3), 3, small_cfg(seed=7)).to_dict()
         second = pipeline_isolated(complete_graph(3), 3, small_cfg(seed=7)).to_dict()

@@ -1,5 +1,7 @@
 import math
+import random
 from collections import Counter
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,7 +9,7 @@ import pytest
 from scipy.stats import chi2
 
 from minorforge.errors import BudgetExceededError
-from minorforge.graphs import complete_graph, empty_graph
+from minorforge.graphs import Graph, complete_graph, empty_graph
 from minorforge.random_models import (
     PropertyPParams,
     PropertyQParams,
@@ -28,6 +30,7 @@ from minorforge.random_models import (
 )
 
 from .conftest import random_graph_corpus
+from .oracles import reference_check_property_P, reference_check_property_Q
 
 
 class TestSampleBipartite:
@@ -200,6 +203,90 @@ class TestPropertyP:
         report = check_property_P(full, complete_graph(4), self.params(), mode="falsify", seed=11, budget=200)
         assert report.verdict == "inconclusive"
         assert report.trials == 200
+
+
+def _outcome(check, *args, **kwargs):
+    """A checker's report as a dict, or the type and text of what it raised."""
+    try:
+        return asdict(check(*args, **kwargs))
+    except (ValueError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestPairSearchMatchesFrozenCheckers:
+    """The shared pair search returns every report, and raises every error,
+    exactly as the four hand-written searches it replaced."""
+
+    def compare(self, seen, kind, check, reference, *args, **kwargs):
+        got = _outcome(check, *args, **kwargs)
+        assert got == _outcome(reference, *args, **kwargs), (kind, args, kwargs)
+        seen[kind, got["verdict"] if isinstance(got, dict) else got[0]] += 1
+
+    def test_property_q_corpus(self):
+        seen = Counter()
+        for H in random_graph_corpus(seed=900, count=60, max_n=8):
+            for delta in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+                for D in (Fraction(11, 10), Fraction(3, 2), Fraction(4)):
+                    params = PropertyQParams(delta, D)
+                    for pairs in ("minimal", "full", "other"):
+                        self.compare(seen, f"exact-{pairs}", check_property_Q,
+                                     reference_check_property_Q, H, params, pairs=pairs)
+                    for seed in (0, 1, 2):
+                        self.compare(seen, "falsify", check_property_Q, reference_check_property_Q,
+                                     H, params, "falsify", seed=seed, budget=40)
+                    self.compare(seen, "no-seed", check_property_Q, reference_check_property_Q,
+                                 H, params, "falsify")
+                    self.compare(seen, "bad-mode", check_property_Q, reference_check_property_Q,
+                                 H, params, "bogus")
+        # below order 10 no pair of sets reaches the threshold, so Q holds
+        # only vacuously; near-complete hosts of order 10 and 12 supply pairs
+        # with edges == threshold and holds that check every pair
+        rng = random.Random(902)
+        for n in (10, 12):
+            for removed in range(4):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+                H = Graph.from_edges(n, rng.sample(edges, len(edges) - removed))
+                for D in (Fraction(101, 100), Fraction(21, 20), Fraction(6, 5)):
+                    params = PropertyQParams(Fraction(1, 2), D)
+                    for pairs in ("minimal", "full"):
+                        self.compare(seen, f"dense-{pairs}", check_property_Q,
+                                     reference_check_property_Q, H, params, pairs=pairs)
+                    self.compare(seen, "dense-falsify", check_property_Q, reference_check_property_Q,
+                                 H, params, "falsify", seed=removed, budget=40)
+        assert sum(seen.values()) == 5760 + 72
+        for kind in ("exact-minimal", "exact-full", "exact-other", "dense-minimal", "dense-full"):
+            assert seen[kind, "holds"] and seen[kind, "fails"]
+        assert seen["dense-falsify", "fails"] and seen["dense-falsify", "inconclusive"]
+        assert seen["falsify", "fails"] and seen["falsify", "inconclusive"]
+        assert seen["no-seed", "ValueError"] == seen["bad-mode", "ValueError"] == 720
+
+    def test_property_p_corpus(self):
+        seen = Counter()
+        rng = random.Random(77)
+        for H in random_graph_corpus(seed=901, count=40, max_n=6):
+            for delta in (Fraction(1, 3), Fraction(1, 2)):
+                for s in (1, 2, 4):
+                    params = PropertyPParams(delta, s)
+                    G = sample_bipartite(rng.randint(1, 4), rng.randint(1, 4),
+                                         rng.choice([0.0, 0.3, 0.6, 0.9, 1.0]), seed=rng.randrange(1000))
+                    for k_l_range in ("minimal", "full", "other"):
+                        for node_budget in (20, 400, 5000):
+                            self.compare(seen, f"exact-{k_l_range}", check_property_P,
+                                         reference_check_property_P, G, H, params,
+                                         k_l_range=k_l_range, node_budget=node_budget)
+                    for seed in (0, 1, 2):  # falsify mode never reads k_l_range
+                        self.compare(seen, "falsify", check_property_P, reference_check_property_P,
+                                     G, H, params, "falsify", seed=seed, budget=60, k_l_range="other")
+                    self.compare(seen, "no-seed", check_property_P, reference_check_property_P,
+                                 G, H, params, "falsify")
+                    self.compare(seen, "bad-mode", check_property_P, reference_check_property_P,
+                                 G, H, params, "bogus", k_l_range="other")
+        assert sum(seen.values()) == 3360
+        for kind in ("exact-minimal", "exact-full"):
+            assert seen[kind, "holds"] and seen[kind, "fails"] and seen[kind, "BudgetExceededError"]
+        assert seen["exact-other", "ValueError"] == 720
+        assert seen["falsify", "fails"] and seen["falsify", "inconclusive"]
+        assert seen["no-seed", "ValueError"] == seen["bad-mode", "ValueError"] == 240
 
 
 class TestBounds:
