@@ -182,7 +182,7 @@ def _emit_property_report(mode: str, seed, check) -> None:
 @click.option("-D", "-d", "--density", "D", required=True, help="Edge-density constant D > 1")
 @click.option("--pairs", type=click.Choice(["minimal", "full"]), default="minimal", show_default=True)
 @click.option("--mode", type=click.Choice(["exact", "falsify"]), default="exact", show_default=True)
-@click.option("--budget", type=int, default=10000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=10000, show_default=True)
 @click.option("--seed", type=int, default=None, help="Seed (mandatory for falsify mode)")
 @forge_errors
 def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
@@ -201,7 +201,7 @@ def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
 @click.option("-s", type=int, required=True, help="Pattern edge threshold")
 @click.option("--mode", type=click.Choice(["exact", "falsify"]), default="exact", show_default=True)
 @click.option("--k-l-range", type=click.Choice(["full", "minimal"]), default="full", show_default=True)
-@click.option("--budget", type=int, default=10000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=0), default=10000, show_default=True)
 @click.option("--node-budget", type=int, default=2_000_000, show_default=True)
 @click.option("--seed", type=int, default=None, help="Seed (mandatory for falsify mode)")
 @forge_errors

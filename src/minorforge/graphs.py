@@ -315,15 +315,14 @@ def is_connected_subset(G: Graph, S: VertexSet) -> bool:
     """True iff S is non-empty and G[S] is connected."""
     if not S:
         return False
-    start = S & -S
-    reach = start
-    while True:
-        grow = reach
-        for v in bits(reach):
-            grow |= G.adj[v] & S
-        if grow == reach:
-            break
-        reach = grow
+    adj = G.adj
+    reach = frontier = S & -S
+    while frontier:  # each reached vertex leaves the frontier once
+        low = frontier & -frontier
+        frontier ^= low
+        grow = adj[low.bit_length() - 1] & S & ~reach
+        reach |= grow
+        frontier |= grow
     return reach == S
 
 

@@ -19,7 +19,6 @@ from .graphs import (
     is_connected_subset,
     mask_of,
     min_degree,
-    nonempty_submasks,
     relabel_rows,
 )
 
@@ -172,13 +171,16 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
 
     The search itself (``_search_model``) backtracks over branch sets:
     pattern vertices by descending degree, candidate branch sets by
-    ascending mask value. It prunes on remaining host-vertex budget, on the
-    host edge budget (a model needs one host edge per pattern edge plus a
-    spanning tree inside every branch set), and on pattern edges that no
-    remaining host vertex can still realize. Twin pattern vertices are
-    searched with increasing branch-set minima, which skips permuted
-    duplicates. The first model found is returned, so the witness is
-    deterministic.
+    ascending mask value. Candidates are generated lazily, one submask of
+    the free host vertices at a time, so a search that succeeds early never
+    builds the rest of the list. Their size is capped by the remaining
+    host-vertex budget and by the host edge budget (a model needs one host
+    edge per pattern edge plus a spanning tree inside every branch set).
+    The search also prunes on pattern edges that no remaining host vertex
+    can still realize. Twin pattern vertices are searched with increasing
+    branch-set minima, which skips permuted duplicates: the walk only
+    visits submasks above the previous twin's minimum. The first model
+    found is returned, so the witness is deterministic.
     """
     if min_degree(pattern) >= 3:
         reduced = _series_parallel_reduction(host)
@@ -207,6 +209,7 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
     earlier_nbrs = [bit_list(row & ((1 << i) - 1)) for i, row in enumerate(rows)]
     last_nbr_pos = [row.bit_length() - 1 for row in rows]
 
+    hadj = host.adj
     assigned: list[VertexSet] = []
     reach: list[VertexSet] = []  # host neighborhoods of each assigned branch set
 
@@ -214,23 +217,37 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
         if depth == pattern.n:
             return {order[i]: assigned[i] for i in range(pattern.n)}
         remaining = pattern.n - depth - 1
-        max_size = avail.bit_count() - remaining
+        # the host edge budget caps |Z| too: a model needs one host edge per
+        # pattern edge plus |Z| - 1 spanning-tree edges inside Z
+        max_size = min(avail.bit_count() - remaining, host_e - pattern_e - tree_edges + 1)
         if max_size < 1:
             return None
-        prev_min = (assigned[-1] & -assigned[-1]) if same_class_as_prev[depth] else 0
-        for Z in nonempty_submasks(avail, max_size):
-            if (Z & -Z) <= prev_min and prev_min:
+        need = [reach[j] for j in earlier_nbrs[depth]]  # Z must touch each of these
+        walk = avail
+        if same_class_as_prev[depth]:
+            # a twin's branch set has a larger minimum than the previous one's
+            walk &= -((assigned[-1] & -assigned[-1]) << 1)
+        Z = 0
+        while True:
+            Z = (Z - walk) & walk  # the next submask of walk in ascending order
+            if not Z:
+                return None
+            if Z.bit_count() > max_size:
                 continue
-            if host_e < pattern_e + tree_edges + Z.bit_count() - 1:
-                continue
-            if not all(reach[j] & Z for j in earlier_nbrs[depth]):
-                continue
-            if not is_connected_subset(host, Z):
+            missed = False
+            for r in need:
+                if not r & Z:
+                    missed = True
+                    break
+            if missed or not is_connected_subset(host, Z):
                 continue
             nxt_avail = avail & ~Z
             nb = 0
-            for v in bits(Z):
-                nb |= host.adj[v]
+            rest = Z
+            while rest:
+                low = rest & -rest
+                nb |= hadj[low.bit_length() - 1]
+                rest ^= low
             nb &= ~Z
             # every pattern edge into positions beyond this one must stay realizable
             viable = not (last_nbr_pos[depth] > depth and not nb & nxt_avail)
@@ -248,7 +265,6 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
             reach.pop()
             if got is not None:
                 return got
-        return None
 
     sets = search(0, host.vertex_mask(), 0)
     return MinorModel(sets) if sets is not None else None
@@ -291,13 +307,12 @@ def _spanning_subgraph_iso(pn: int, padj: tuple[int, ...], hn: int, hadj: tuple[
     order = sorted(range(pn), key=lambda v: -padj[v].bit_count())
     image = [-1] * pn
     used = [False] * hn
-
-    def place(i: int) -> bool:
-        if i == pn:
-            return True
+    nxt = [0] * (pn + 1)  # the next host vertex to try at each depth
+    i = 0
+    while i < pn:
         p = order[i]
         pdeg = padj[p].bit_count()
-        for h in range(hn):
+        for h in range(nxt[i], hn):
             if used[h] or hadj[h].bit_count() < pdeg:
                 continue
             ok = True
@@ -309,13 +324,18 @@ def _spanning_subgraph_iso(pn: int, padj: tuple[int, ...], hn: int, hadj: tuple[
             if ok:
                 image[p] = h
                 used[h] = True
-                if place(i + 1):
-                    return True
-                used[h] = False
-                image[p] = -1
-        return False
-
-    return place(0)
+                nxt[i] = h + 1
+                i += 1
+                nxt[i] = 0
+                break
+        else:  # no host vertex fits here: undo the previous placement
+            i -= 1
+            if i < 0:
+                return False
+            p = order[i]
+            used[image[p]] = False
+            image[p] = -1
+    return True
 
 
 def contains_minor_contraction_oracle(

@@ -124,7 +124,7 @@ def _pair_search(H: Graph, delta, mode: str, minimal: bool, budget: int, seed: i
     lexicographic order; each pair and each ``spend()`` is a node, and more
     than ``node_budget`` nodes raise BudgetExceededError. Falsify mode
     draws ``budget`` seeded pairs with k = l = r and can only return
-    ``fails`` or ``inconclusive``.
+    ``fails`` or ``inconclusive``; a negative ``budget`` is a ValueError.
     """
     n = H.n
     r = math.ceil(delta * n)
@@ -139,6 +139,8 @@ def _pair_search(H: Graph, delta, mode: str, minimal: bool, budget: int, seed: i
     if mode == "falsify":
         if seed is None:
             raise ValueError("falsify mode needs a seed")
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         rng = random.Random(seed)
         if 2 * r > n or r < 1:
             return PropertyReport(VERDICT_INCONCLUSIVE, trials=0, seed=seed)
@@ -169,6 +171,14 @@ def _pair_search(H: Graph, delta, mode: str, minimal: bool, budget: int, seed: i
     return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)
 
 
+def _is_minimal(option: str, value: str) -> bool:
+    """Whether a size-range option is ``"minimal"`` (k = l = ceil(delta*n)
+    only) rather than ``"full"``; any other value is a ValueError."""
+    if value not in ("minimal", "full"):
+        raise ValueError(f"unknown {option} {value!r}")
+    return value == "minimal"
+
+
 # ---------------------------------------------------------------------------
 # property Q
 
@@ -191,9 +201,10 @@ def check_property_Q(
     Exact mode enumerates disjoint pairs A, B and returns ``holds`` or a
     ``fails`` witness; with ``pairs="minimal"`` only |A| = |B| =
     ceil(delta*n) is checked, which is exact because enlarging either set
-    never removes edges. ``pairs="full"`` enumerates every admissible pair.
-    Falsify mode samples random pairs under a budget and can only return
-    ``fails`` or ``inconclusive``.
+    never removes edges. ``pairs="full"`` enumerates every admissible pair;
+    any other ``pairs`` value is a ValueError, in every mode. Falsify mode
+    samples random pairs under a budget and can only return ``fails`` or
+    ``inconclusive``.
     """
     threshold = _q_threshold(params.D, H.n)
 
@@ -202,7 +213,7 @@ def check_property_Q(
             return None
         return {"A": list(xs), "B": list(ys), "edges": edges, "threshold": threshold}
 
-    return _pair_search(H, params.delta, mode, pairs == "minimal", budget, seed, violation, "Q")
+    return _pair_search(H, params.delta, mode, _is_minimal("pairs", pairs), budget, seed, violation, "Q")
 
 
 def property_q_witness_violates(H: Graph, params: PropertyQParams, witness: dict) -> bool:
@@ -241,12 +252,11 @@ def check_property_P(
     in G. Exact mode proves ``holds`` or returns a violating witness;
     ``k_l_range="minimal"`` restricts to k = l = ceil(delta*n), a reduction
     whose soundness the exact mode does not assume (callers can compare the
-    two). Falsify mode samples candidate witnesses and can only return
+    two); any value but ``"minimal"`` and ``"full"`` is a ValueError, in
+    every mode. Falsify mode samples candidate witnesses and can only return
     ``fails`` or ``inconclusive``. Node budget exhaustion in exact mode is
     an error, not a verdict.
     """
-    if mode == "exact" and k_l_range not in ("minimal", "full"):
-        raise ValueError(f"unknown k_l_range {k_l_range!r}")
     cap = math.floor(1 / params.delta)
 
     def violation(xs, ys, edges, rng, spend):
@@ -268,7 +278,7 @@ def check_property_P(
             return witness
         return None
 
-    return _pair_search(H, params.delta, mode, k_l_range == "minimal", budget, seed,
+    return _pair_search(H, params.delta, mode, _is_minimal("k_l_range", k_l_range), budget, seed,
                         violation, "P", node_budget)
 
 

@@ -5,8 +5,9 @@ enumeration over product spaces, subsets, or permutations. The
 exceptions are frozen copies of earlier production code, kept to pin the
 exact values the current code returns: the plain list-coloring
 backtracker, the pasting verifier's loop over every injective A-coloring,
-the induced-pattern minor sweep over every size, and the four
-hand-written pair searches of the two pseudo-random property checkers.
+the induced-pattern minor sweep over every size, the four hand-written
+pair searches of the two pseudo-random property checkers, and the minor
+search over eagerly built candidate lists.
 """
 
 import math
@@ -14,7 +15,16 @@ import random
 from itertools import combinations, permutations, product
 
 from minorforge.coloring import ListAssignment
-from minorforge.graphs import Graph, bits, induced_subgraph, mask_of
+from minorforge.graphs import (
+    Graph,
+    bit_list,
+    bits,
+    induced_subgraph,
+    is_connected_subset,
+    mask_of,
+    nonempty_submasks,
+    relabel_rows,
+)
 
 
 def naive_l_colorable(G: Graph, L: ListAssignment) -> bool:
@@ -365,3 +375,72 @@ def reference_check_property_P(G, H, params, mode="exact", *, k_l_range="full",
                         nodes_explored=nodes,
                     )
     return PropertyReport(VERDICT_HOLDS, nodes_explored=nodes)
+
+
+def reference_search_model(host: Graph, pattern: Graph):
+    """``minors._search_model`` as it stood before the lazy candidate walk:
+    every search node first builds the full ascending list of candidate
+    branch sets and tests the host edge budget per candidate. Returns the
+    branch-set dict of the first model, or None. It calls the production
+    ``is_connected_subset``, which is checked against networkx on its own."""
+    from minorforge.minors import _twin_classes
+
+    if pattern.n == 0:
+        return {}
+    if host.n < pattern.n or host.edge_count() < pattern.edge_count():
+        return None
+
+    twin = _twin_classes(pattern)
+    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), twin[v], v))
+    same_class_as_prev = [False] + [
+        twin[order[i]] == twin[order[i - 1]] for i in range(1, len(order))
+    ]
+    host_e = host.edge_count()
+    pattern_e = pattern.edge_count()
+    rows = relabel_rows(pattern.adj, order)
+    earlier_nbrs = [bit_list(row & ((1 << i) - 1)) for i, row in enumerate(rows)]
+    last_nbr_pos = [row.bit_length() - 1 for row in rows]
+
+    assigned = []
+    reach = []
+
+    def search(depth, avail, tree_edges):
+        if depth == pattern.n:
+            return {order[i]: assigned[i] for i in range(pattern.n)}
+        remaining = pattern.n - depth - 1
+        max_size = avail.bit_count() - remaining
+        if max_size < 1:
+            return None
+        prev_min = (assigned[-1] & -assigned[-1]) if same_class_as_prev[depth] else 0
+        for Z in nonempty_submasks(avail, max_size):
+            if (Z & -Z) <= prev_min and prev_min:
+                continue
+            if host_e < pattern_e + tree_edges + Z.bit_count() - 1:
+                continue
+            if not all(reach[j] & Z for j in earlier_nbrs[depth]):
+                continue
+            if not is_connected_subset(host, Z):
+                continue
+            nxt_avail = avail & ~Z
+            nb = 0
+            for v in bits(Z):
+                nb |= host.adj[v]
+            nb &= ~Z
+            viable = not (last_nbr_pos[depth] > depth and not nb & nxt_avail)
+            if viable:
+                for j in range(depth):
+                    if last_nbr_pos[j] > depth and not reach[j] & nxt_avail:
+                        viable = False
+                        break
+            if not viable:
+                continue
+            assigned.append(Z)
+            reach.append(nb)
+            got = search(depth + 1, nxt_avail, tree_edges + Z.bit_count() - 1)
+            assigned.pop()
+            reach.pop()
+            if got is not None:
+                return got
+        return None
+
+    return search(0, host.vertex_mask(), 0)

@@ -22,3 +22,24 @@ def test_every_traced_name_resolves():
     for module, attr in tracing.SPANNED + counted:
         owner = importlib.import_module(f"minorforge.{module}")
         assert callable(functools.reduce(getattr, attr.split("."), owner)), (module, attr)
+
+
+def test_minor_search_calls_is_connected_subset_by_name(monkeypatch):
+    """The tracer counts candidate branch sets by wrapping
+    ``minors.is_connected_subset``; a search that stopped calling that name
+    would read 0 for ``minors.connected_candidate_frac``."""
+    from minorforge import minors
+    from minorforge.graphs import Graph, complete_bipartite_graph
+
+    calls = []
+    original = minors.is_connected_subset
+
+    def counting(G, S):
+        calls.append(S)
+        return original(G, S)
+
+    monkeypatch.setattr(minors, "is_connected_subset", counting)
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    prism = Graph.from_edges(10, rim + [(u + 5, v + 5) for u, v in rim] + [(i, i + 5) for i in range(5)])
+    assert minors.contains_minor(prism, complete_bipartite_graph(3, 3)) is None  # planar
+    assert calls

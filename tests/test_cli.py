@@ -135,6 +135,16 @@ class TestProperties:
             assert result.exit_code == 2
             assert "falsify mode requires --seed" in result.output
 
+    def test_negative_budget_is_a_usage_error(self, runner):
+        for args in (["q", "--graph", "Bw", "--delta", "1/2", "-d", "3/2"],
+                     ["p", "--graph", to_graph6(complete_graph(4)),
+                      "--bipartite", json.dumps({"a_size": 4, "b_size": 4, "edges": []}),
+                      "--delta", "1/2", "-s", "1"]):
+            result = runner.invoke(main, ["check-property", *args, "--mode", "falsify",
+                                          "--seed", "1", "--budget", "-5"])
+            assert result.exit_code == 2
+            assert "Invalid value for '--budget'" in result.output
+
     def test_falsify_output_with_a_seed(self, runner):
         cases = (
             (["q", "--graph", to_graph6(empty_graph(6)), "--delta", "1/2", "-D", "3/2",

@@ -21,6 +21,7 @@ from minorforge.graphs import (
     find_clique,
     induced_subgraph,
     is_clique,
+    is_connected_subset,
     mask_of,
     max_degree,
     min_degree,
@@ -135,6 +136,26 @@ class TestRelabelRows:
             H = Graph(len(keep), relabel_rows(G.adj, keep))
             expected = nx.convert_node_labels_to_integers(to_nx(G).subgraph(keep), ordering="sorted")
             assert nx.utils.graphs_equal(to_nx(H), expected)
+
+
+class TestIsConnectedSubset:
+    def test_empty_set_is_not_connected(self):
+        assert not is_connected_subset(complete_graph(3), 0)
+        assert not is_connected_subset(empty_graph(0), 0)
+
+    def test_matches_networkx_on_seeded_subsets(self):
+        import networkx as nx
+
+        rng = random.Random(74)
+        connected = 0
+        for G in random_graph_corpus(74, 200, 12):
+            g = to_nx(G)
+            for _ in range(10):
+                keep = rng.sample(range(G.n), rng.randint(1, G.n))
+                expected = nx.is_connected(g.subgraph(keep))
+                assert is_connected_subset(G, mask_of(keep)) == expected, (G, keep)
+                connected += expected
+        assert 300 <= connected <= 1700
 
 
 class TestDegeneracy:

@@ -6,6 +6,7 @@ import pytest
 from minorforge.errors import SizeGuardError
 from minorforge.graphs import (
     Graph,
+    bipartite_union_complement,
     bit_list,
     complete_bipartite_graph,
     complete_graph,
@@ -23,6 +24,7 @@ from minorforge.minors import (
     _contract_edge,
     _search_model,
     _series_parallel_reduction,
+    _spanning_subgraph_iso,
     check_model,
     clique_sum,
     contains_minor,
@@ -33,9 +35,10 @@ from minorforge.minors import (
     restrict_model_through_clique,
     verify_model,
 )
+from minorforge.random_models import sample_bipartite
 
 from .conftest import random_graph
-from .oracles import reference_minor_free_all_induced
+from .oracles import reference_minor_free_all_induced, reference_search_model
 
 
 class TestVerifyModel:
@@ -149,6 +152,10 @@ class TestContractionOracle:
                 expected = nx.convert_node_labels_to_integers(merged, ordering="sorted")
                 assert n == expected.number_of_nodes()
                 assert set(Graph(n, adj).edges()) == {tuple(sorted(e)) for e in expected.edges()}
+
+    def test_long_path_spans_itself_without_recursion(self):
+        P = path_graph(1200)
+        assert _spanning_subgraph_iso(P.n, P.adj, P.n, P.adj)
 
     def test_agreement_with_search(self):
         rng = random.Random(20)
@@ -434,6 +441,38 @@ class TestSearchWithoutFilter:
             assert found == contains_minor_contraction_oracle(host, pattern)
             negatives += not found
         assert negatives >= 100
+
+
+class TestLazyWalkMatchesEagerSearch:
+    """The lazy candidate walk returns the same first model as the search
+    over eagerly built candidate lists, negatives and early positives alike."""
+
+    PATTERNS = [complete_graph(3), complete_graph(4), complete_graph(5), complete_graph(6),
+                complete_bipartite_graph(3, 3)]
+
+    def hosts(self, seed: int, count: int) -> list[Graph]:
+        rng = random.Random(seed)
+        out = []
+        for i in range(count):
+            if i % 2:
+                out.append(random_graph(rng, rng.randint(4, 10), rng.choice([0.2, 0.35, 0.5, 0.7, 0.9])))
+            else:  # gadget-like hosts: two cliques joined by a bipartite complement
+                a, b = rng.randint(2, 5), rng.randint(2, 5)
+                B = sample_bipartite(a, b, rng.choice([0.2, 0.5, 0.8]), seed=rng.randrange(10**6))
+                out.append(bipartite_union_complement(B, rng.randrange(1, 1 << a), rng.randrange(1, 1 << b)))
+        return out
+
+    def test_same_branch_sets_on_seeded_corpus(self):
+        found = pairs = 0
+        for host in self.hosts(seed=808, count=600):
+            for pattern in self.PATTERNS:
+                model = _search_model(host, pattern)
+                got = None if model is None else model.branch_sets
+                assert got == reference_search_model(host, pattern), (host, pattern)
+                pairs += 1
+                found += got is not None
+        assert pairs == 3000
+        assert 600 <= found <= 2400  # both early-exit positives and exhaustive negatives
 
 
 class TestSupportNeighborBoundExploratory:

@@ -143,6 +143,30 @@ class TestPropertyQ:
         with pytest.raises(ValueError):
             check_property_Q(empty_graph(6), PropertyQParams(Fraction(1, 2), Fraction(3, 2)), mode="falsify")
 
+    def test_unknown_pairs_value_is_an_error(self):
+        params = PropertyQParams(Fraction(1, 2), Fraction(3, 2))
+        with pytest.raises(ValueError, match="unknown pairs 'fulll'"):
+            check_property_Q(complete_graph(6), params, pairs="fulll")
+        with pytest.raises(ValueError, match="unknown pairs 'fulll'"):
+            check_property_Q(complete_graph(6), params, "falsify", seed=1, pairs="fulll")
+
+
+class TestNegativeFalsifyBudget:
+    """A falsify budget is a number of trials, so it cannot be negative."""
+
+    def test_property_q(self):
+        params = PropertyQParams(Fraction(1, 2), Fraction(3, 2))
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -5"):
+            check_property_Q(complete_graph(6), params, "falsify", seed=1, budget=-5)
+        report = check_property_Q(complete_graph(6), params, "falsify", seed=1, budget=0)
+        assert (report.verdict, report.trials) == ("inconclusive", 0)
+
+    def test_property_p(self):
+        G = sample_bipartite(4, 4, 0, seed=0)
+        params = PropertyPParams(Fraction(1, 2), 1)
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            check_property_P(G, complete_graph(4), params, "falsify", seed=11, budget=-1)
+
 
 class TestPropertyP:
     def params(self, delta=Fraction(1, 2), s=1):
@@ -189,6 +213,11 @@ class TestPropertyP:
         bad["X"] = [[0], [0]]  # overlap breaks disjointness
         assert not property_p_witness_violates(G, complete_graph(4), params, bad)
 
+    def test_unknown_k_l_range_is_an_error_in_falsify_mode_too(self):
+        G = sample_bipartite(4, 4, 0, seed=0)
+        with pytest.raises(ValueError, match="unknown k_l_range 'nonsense'"):
+            check_property_P(G, complete_graph(4), self.params(), "falsify", seed=1, k_l_range="nonsense")
+
     def test_budget_exhaustion_is_an_error(self):
         G = sample_bipartite(4, 4, 1, seed=2)  # holds, so the sweep runs long
         with pytest.raises(BudgetExceededError):
@@ -215,12 +244,19 @@ def _outcome(check, *args, **kwargs):
 
 class TestPairSearchMatchesFrozenCheckers:
     """The shared pair search returns every report, and raises every error,
-    exactly as the four hand-written searches it replaced."""
+    exactly as the four hand-written searches it replaced. The one intended
+    difference: an unknown size-range name (``pairs`` of Q, ``k_l_range`` of
+    P) is a ValueError in every mode, where the old Q read it as "full" and
+    the old falsify modes ignored it."""
 
     def compare(self, seen, kind, check, reference, *args, **kwargs):
         got = _outcome(check, *args, **kwargs)
         assert got == _outcome(reference, *args, **kwargs), (kind, args, kwargs)
         seen[kind, got["verdict"] if isinstance(got, dict) else got[0]] += 1
+
+    def rejects(self, seen, kind, message, check, *args, **kwargs):
+        assert _outcome(check, *args, **kwargs) == ("ValueError", message), (kind, args, kwargs)
+        seen[kind, "ValueError"] += 1
 
     def test_property_q_corpus(self):
         seen = Counter()
@@ -228,12 +264,16 @@ class TestPairSearchMatchesFrozenCheckers:
             for delta in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
                 for D in (Fraction(11, 10), Fraction(3, 2), Fraction(4)):
                     params = PropertyQParams(delta, D)
-                    for pairs in ("minimal", "full", "other"):
+                    for pairs in ("minimal", "full"):
                         self.compare(seen, f"exact-{pairs}", check_property_Q,
                                      reference_check_property_Q, H, params, pairs=pairs)
+                    self.rejects(seen, "exact-other", "unknown pairs 'other'", check_property_Q,
+                                 H, params, pairs="other")
                     for seed in (0, 1, 2):
                         self.compare(seen, "falsify", check_property_Q, reference_check_property_Q,
                                      H, params, "falsify", seed=seed, budget=40)
+                    self.rejects(seen, "falsify-other", "unknown pairs 'other'", check_property_Q,
+                                 H, params, "falsify", seed=0, budget=40, pairs="other")
                     self.compare(seen, "no-seed", check_property_Q, reference_check_property_Q,
                                  H, params, "falsify")
                     self.compare(seen, "bad-mode", check_property_Q, reference_check_property_Q,
@@ -253,9 +293,10 @@ class TestPairSearchMatchesFrozenCheckers:
                                      reference_check_property_Q, H, params, pairs=pairs)
                     self.compare(seen, "dense-falsify", check_property_Q, reference_check_property_Q,
                                  H, params, "falsify", seed=removed, budget=40)
-        assert sum(seen.values()) == 5760 + 72
-        for kind in ("exact-minimal", "exact-full", "exact-other", "dense-minimal", "dense-full"):
+        assert sum(seen.values()) == 6480 + 72
+        for kind in ("exact-minimal", "exact-full", "dense-minimal", "dense-full"):
             assert seen[kind, "holds"] and seen[kind, "fails"]
+        assert seen["exact-other", "ValueError"] == seen["falsify-other", "ValueError"] == 720
         assert seen["dense-falsify", "fails"] and seen["dense-falsify", "inconclusive"]
         assert seen["falsify", "fails"] and seen["falsify", "inconclusive"]
         assert seen["no-seed", "ValueError"] == seen["bad-mode", "ValueError"] == 720
@@ -274,17 +315,20 @@ class TestPairSearchMatchesFrozenCheckers:
                             self.compare(seen, f"exact-{k_l_range}", check_property_P,
                                          reference_check_property_P, G, H, params,
                                          k_l_range=k_l_range, node_budget=node_budget)
-                    for seed in (0, 1, 2):  # falsify mode never reads k_l_range
+                    for seed in (0, 1, 2):
                         self.compare(seen, "falsify", check_property_P, reference_check_property_P,
-                                     G, H, params, "falsify", seed=seed, budget=60, k_l_range="other")
+                                     G, H, params, "falsify", seed=seed, budget=60)
+                    self.rejects(seen, "falsify-other", "unknown k_l_range 'other'", check_property_P,
+                                 G, H, params, "falsify", seed=0, budget=60, k_l_range="other")
                     self.compare(seen, "no-seed", check_property_P, reference_check_property_P,
                                  G, H, params, "falsify")
                     self.compare(seen, "bad-mode", check_property_P, reference_check_property_P,
-                                 G, H, params, "bogus", k_l_range="other")
-        assert sum(seen.values()) == 3360
+                                 G, H, params, "bogus")
+        assert sum(seen.values()) == 3600
         for kind in ("exact-minimal", "exact-full"):
             assert seen[kind, "holds"] and seen[kind, "fails"] and seen[kind, "BudgetExceededError"]
         assert seen["exact-other", "ValueError"] == 720
+        assert seen["falsify-other", "ValueError"] == 240
         assert seen["falsify", "fails"] and seen["falsify", "inconclusive"]
         assert seen["no-seed", "ValueError"] == seen["bad-mode", "ValueError"] == 240
 
