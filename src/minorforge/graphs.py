@@ -334,62 +334,58 @@ def is_clique(G: Graph, S: VertexSet) -> bool:
     return True
 
 
-def _max_vertex_disjoint_paths(G: Graph, s: int, t: int) -> int:
-    # Unit-capacity max flow on the vertex-split digraph: node 2v is v_in,
-    # 2v+1 is v_out; internal arcs have capacity 1, adjacency arcs 2 (>= n
-    # would do, internal caps are the bottleneck).
-    cap: dict[tuple[int, int], int] = {}
-    for v in range(G.n):
-        cap[(2 * v, 2 * v + 1)] = 1
-    for u, v in G.edges():
-        cap[(2 * u + 1, 2 * v)] = G.n
-        cap[(2 * v + 1, 2 * u)] = G.n
-    out: dict[int, list[int]] = {}
-    for a, b in cap:
-        out.setdefault(a, []).append(b)
-        out.setdefault(b, []).append(a)
-    source, sink = 2 * s + 1, 2 * t
+def _max_vertex_disjoint_paths(G: Graph, s: int, t: int, limit: int) -> int:
+    # Unit-capacity max flow on the vertex-split digraph, stopped at ``limit``
+    # paths. Node v is v_in and node n+v is v_out; arcs are v_in -> v_out and
+    # u_out -> v_in for each edge uv. All have capacity 1 (a vertex passes one
+    # unit), so each residual row is a bitmask and pushing a unit over x -> y
+    # flips bit y of row x and bit x of row y.
+    n = G.n
+    res = [1 << (n + v) for v in range(n)] + list(G.adj)
+    source, sink = n + s, 1 << t
     flow = 0
-    while True:
-        parent = {source: source}
-        queue = [source]
-        while queue and sink not in parent:
-            node = queue.pop(0)
-            for nxt in out.get(node, ()):
-                if nxt in parent:
-                    continue
-                if cap.get((node, nxt), 0) > 0:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        if sink not in parent:
-            return flow
-        node = sink
-        while node != source:
-            prev = parent[node]
-            cap[(prev, node)] = cap.get((prev, node), 0) - 1
-            cap[(node, prev)] = cap.get((node, prev), 0) + 1
-            node = prev
+    while flow < limit:
+        layers = [1 << source]  # breadth-first layers of the residual digraph
+        seen = layers[0]
+        while not seen & sink:
+            reach = 0
+            for x in bits(layers[-1]):
+                reach |= res[x]
+            reach &= ~seen
+            if not reach:
+                return flow
+            seen |= reach
+            layers.append(reach)
+        y = t  # walk back through the layers, taking the lowest parent
+        for layer in reversed(layers[:-1]):
+            x = next(x for x in bits(layer) if res[x] >> y & 1)
+            res[x] ^= 1 << y
+            res[y] ^= 1 << x
+            y = x
         flow += 1
+    return flow
 
 
 def vertex_connectivity(G: Graph) -> int:
     """Vertex connectivity: n-1 for complete graphs, 0 for disconnected ones.
 
     Computed as the minimum number of internally vertex-disjoint paths over
-    all non-adjacent pairs (Menger, via unit-capacity flow).
+    non-adjacent pairs s < t (Menger, via unit-capacity flow), with s only
+    among v_0..v_k for the smallest count k found so far (Even 1975). No
+    minimum is missed: k never drops below kappa, and a minimum separator X
+    misses some v_i with i <= kappa, which X cuts off from some w; the pair
+    {v_i, w} is examined with s = v_i if w > v_i, and else with s = w.
     """
     if G.n == 0:
         raise ValueError("vertex connectivity is undefined for the empty graph")
-    if G.n == 1:
-        return 0
     best = G.n - 1
-    for s in range(G.n):
-        for t in range(s + 1, G.n):
-            if G.has_edge(s, t):
-                continue
-            best = min(best, _max_vertex_disjoint_paths(G, s, t))
+    s = 0
+    while s <= best:
+        for t in bits(~G.adj[s] & G.vertex_mask() >> (s + 1) << (s + 1)):
+            best = _max_vertex_disjoint_paths(G, s, t, best)
             if best == 0:
                 return 0
+        s += 1
     return best
 
 

@@ -303,7 +303,14 @@ def _spanning_subgraph_iso(pn: int, padj: tuple[int, ...], hn: int, hadj: tuple[
     """Is there an injection of pattern into host mapping edges into edges?
 
     With equal orders it is a bijection, so the host spans the pattern.
+    The walk is skipped when the host has fewer edges, or when its i-th
+    largest degree is below the pattern's for some i: the i pattern vertices
+    of largest degree need i distinct images of at least that degree.
     """
+    pdeg = sorted((row.bit_count() for row in padj), reverse=True)
+    hdeg = sorted((row.bit_count() for row in hadj), reverse=True)
+    if pn > hn or sum(pdeg) > sum(hdeg) or any(p > h for p, h in zip(pdeg, hdeg)):
+        return False
     order = sorted(range(pn), key=lambda v: -padj[v].bit_count())
     image = [-1] * pn
     used = [False] * hn

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 from .coloring import LIST_CHROMATIC_MAX_ORDER, list_chromatic_number
 from .constructions import (
@@ -477,11 +478,24 @@ def mader_step_check(H: Graph, cfg: ExperimentConfig | None = None) -> RunReport
 
 
 def _best_induced_connectivity(H: Graph) -> int:
+    """Largest vertex connectivity of an induced subgraph H[S], S non-empty.
+
+    Every graph F on m vertices has kappa(F) <= min(delta(F), m - 1): a
+    vertex v of minimum degree is cut off from the rest by its neighbours,
+    unless they are all the other vertices, and then F is complete with
+    kappa = m - 1 = delta. So S is visited by descending size, the sweep
+    stops once |S| - 1 <= best, and an S with a vertex of degree <= best in
+    H[S] is skipped without building the subgraph.
+    """
+    adj = H.adj
     best = 0
-    for S in range(1, 1 << H.n):
-        sub = induced_subgraph(H, S)
-        if sub.n >= 1:
-            best = max(best, vertex_connectivity(sub))
+    for size in range(H.n, 1, -1):
+        if size - 1 <= best:
+            break
+        for combo in combinations(range(H.n), size):
+            S = mask_of(combo)
+            if all((adj[v] & S).bit_count() > best for v in combo):
+                best = max(best, vertex_connectivity(induced_subgraph(H, S)))
     return best
 
 

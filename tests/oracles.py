@@ -6,8 +6,9 @@ exceptions are frozen copies of earlier production code, kept to pin the
 exact values the current code returns: the plain list-coloring
 backtracker, the pasting verifier's loop over every injective A-coloring,
 the induced-pattern minor sweep over every size, the four hand-written
-pair searches of the two pseudo-random property checkers, and the minor
-search over eagerly built candidate lists.
+pair searches of the two pseudo-random property checkers, the minor
+search over eagerly built candidate lists, and the Mader sweep over every
+induced subgraph.
 """
 
 import math
@@ -24,6 +25,7 @@ from minorforge.graphs import (
     mask_of,
     nonempty_submasks,
     relabel_rows,
+    vertex_connectivity,
 )
 
 
@@ -119,6 +121,17 @@ def brute_vertex_connectivity(G: Graph) -> int:
             if not connected_within(left):
                 return size
     return G.n - 1
+
+
+def reference_best_induced_connectivity(H: Graph) -> int:
+    """The Mader sweep as it stood before its pruning: the vertex
+    connectivity of every non-empty induced subgraph, largest kept."""
+    best = 0
+    for S in range(1, 1 << H.n):
+        sub = induced_subgraph(H, S)
+        if sub.n >= 1:
+            best = max(best, vertex_connectivity(sub))
+    return best
 
 
 def naive_not_k_choosable(G: Graph, k: int) -> bool:

@@ -8,6 +8,7 @@ from minorforge.coloring import ListAssignment, is_l_colorable
 from minorforge.graphs import (
     BipartiteGraph,
     Graph,
+    _max_vertex_disjoint_paths,
     bipartite_union_complement,
     color_by_degeneracy,
     complement,
@@ -32,7 +33,7 @@ from minorforge.graphs import (
     vertex_connectivity,
 )
 
-from .conftest import petersen_graph, random_graph_corpus
+from .conftest import petersen_graph, random_graph, random_graph_corpus
 from .oracles import are_isomorphic, brute_vertex_connectivity
 
 
@@ -232,10 +233,31 @@ class TestVertexConnectivity:
         assert vertex_connectivity(Graph.from_edges(4, [(0, 1), (2, 3)])) == 0
 
     def test_agrees_with_brute_force_on_corpus(self):
-        for G in random_graph_corpus(seed=101, count=60, max_n=8):
-            if G.n == 0:
-                continue
-            assert vertex_connectivity(G) == brute_vertex_connectivity(G)
+        import networkx as nx
+
+        # densities 0.15 and 1.0 give disconnected and complete graphs
+        corpus = [empty_graph(1), empty_graph(2), complete_graph(2), complete_graph(11), empty_graph(11)]
+        corpus += [G for G in random_graph_corpus(seed=101, count=60, max_n=8) if G.n]
+        rng = random.Random(131)
+        while len(corpus) < 2000:
+            corpus.append(random_graph(rng, rng.randint(1, 11), rng.choice([0.15, 0.3, 0.5, 0.7, 0.85, 1.0])))
+        kinds = set()
+        for G in corpus:
+            g = nx.Graph(G.edges())
+            g.add_nodes_from(range(G.n))
+            kappa = vertex_connectivity(G)
+            assert kappa == nx.node_connectivity(g) == brute_vertex_connectivity(G), G.adj
+            kinds.add("disconnected" if kappa == 0 and G.n > 1 else "complete" if kappa == G.n - 1 else "other")
+        assert kinds == {"disconnected", "complete", "other"}
+
+    def test_augmenting_path_cancels_earlier_flow(self):
+        # s=0 reaches t=5 by s-a-d-t, s-b-d-t and s-a-c-t (a=1, b=2, d=3,
+        # c=4). The search takes s-a-d-t first, so the second path
+        # s-b-d-a-c-t must push back the unit on a-d; without that the
+        # count stops at 1 and so does the connectivity.
+        G = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 5), (1, 4), (4, 5)])
+        assert _max_vertex_disjoint_paths(G, 0, 5, G.n) == 2
+        assert vertex_connectivity(G) == 2 == brute_vertex_connectivity(G)
 
     @settings(max_examples=50, deadline=None)
     @given(graphs())

@@ -3,9 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from minorforge import minors
 from minorforge.errors import SizeGuardError
 from minorforge.graphs import (
     Graph,
+    add_isolated_vertices,
     bipartite_union_complement,
     bit_list,
     complete_bipartite_graph,
@@ -156,6 +158,24 @@ class TestContractionOracle:
     def test_long_path_spans_itself_without_recursion(self):
         P = path_graph(1200)
         assert _spanning_subgraph_iso(P.n, P.adj, P.n, P.adj)
+
+    def test_degree_precheck_refuses_without_walking(self, monkeypatch):
+        # The walk reads each placed vertex's pattern neighbours through
+        # ``bits``; both pairs must be refused before the first placement.
+        # A path into a path one shorter plus an isolated vertex (one edge
+        # short) used to backtrack for 4.5 s at 200 vertices.
+        def walk_entered(mask):
+            raise AssertionError("the backtracking walk was entered")
+
+        monkeypatch.setattr(minors, "bits", walk_entered)
+        P = path_graph(1200)
+        host = add_isolated_vertices(path_graph(1199), 1)
+        assert not _spanning_subgraph_iso(P.n, P.adj, host.n, host.adj)
+        # equal edge counts, but the paw (a triangle with a pendant vertex)
+        # has degrees 3, 2, 2, 1 against the 4-cycle's 2, 2, 2, 2
+        C4 = cycle_graph(4)
+        paw = Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
+        assert not _spanning_subgraph_iso(C4.n, C4.adj, paw.n, paw.adj)
 
     def test_agreement_with_search(self):
         rng = random.Random(20)

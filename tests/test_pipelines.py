@@ -7,7 +7,14 @@ import pytest
 from minorforge import coloring, pipelines
 from minorforge.errors import SizeGuardError
 from minorforge.graphio import to_graph6
-from minorforge.graphs import complete_graph, empty_graph, path_graph
+from minorforge.graphs import (
+    Graph,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    path_graph,
+)
 from minorforge.pipelines import (
     REPLAY_OPS,
     _delta_from_epsilon,
@@ -24,6 +31,8 @@ from minorforge.reports import (
     determinism_hash,
     write_run_dir,
 )
+
+from .oracles import reference_best_induced_connectivity
 
 
 def small_cfg(seed=42, **kwargs):
@@ -209,6 +218,43 @@ class TestMader:
     def test_replay(self):
         report = mader_step_check(path_graph(5)).to_dict()
         assert all(r["ok"] for r in replay_report(report))
+
+    def test_pruned_sweep_matches_unpruned_reference(self):
+        corpus = mader_corpus()
+        assert len(corpus) >= 300
+        for G in corpus:
+            assert pipelines._best_induced_connectivity(G) == reference_best_induced_connectivity(G), to_graph6(G)
+
+    def test_reports_match_the_unpruned_sweep_byte_for_byte(self, monkeypatch):
+        def report_bytes(G):
+            report = mader_step_check(G)
+            report.runtime_ms = 0.0
+            return canonical_json(report.to_dict())
+
+        corpus = mader_corpus()[::8]
+        pruned = [report_bytes(G) for G in corpus]
+        monkeypatch.setattr(pipelines, "_best_induced_connectivity", reference_best_induced_connectivity)
+        assert pruned == [report_bytes(G) for G in corpus]
+
+
+def mader_corpus() -> list[Graph]:
+    """Seeded graphs of order 1-9 with the shapes that stress the sweep's
+    cuts: edgeless, cycles, complete bipartite, complete minus a matching,
+    two cliques sharing a cut vertex, then random graphs."""
+    from .conftest import random_graph_corpus
+
+    corpus = [empty_graph(n) for n in range(1, 10)]
+    corpus += [cycle_graph(n) for n in range(3, 10)]
+    corpus += [complete_bipartite_graph(a, b) for a in range(1, 9) for b in range(a, 10 - a)]
+    for n in range(2, 10):
+        matching = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+        corpus.append(Graph.from_edges(n, [e for e in complete_graph(n).edges() if e not in matching]))
+    for a in range(2, 9):
+        for b in range(2, 11 - a):  # K_a and K_b glued at vertex a-1
+            edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+            edges += [(u, v) for u in range(a - 1, a + b - 1) for v in range(u + 1, a + b - 1)]
+            corpus.append(Graph.from_edges(a + b - 1, edges))
+    return corpus + random_graph_corpus(seed=211, count=300 - len(corpus), max_n=9)
 
 
 class TestReportsAndConfig:
