@@ -18,7 +18,7 @@ from .graphs import (
     degeneracy,
     induced_subgraph,
     is_connected_subset,
-    relabel_rows,
+    nonempty_submasks,
 )
 
 Coloring = tuple[int, ...]
@@ -226,17 +226,44 @@ def _alon_tarsi_certifies(H: Graph, k: int) -> bool:
     return True
 
 
-def _solve_on_subset(H: Graph, P: int, masks: list[int], cache: dict) -> bool:
-    """Is the induced subproblem on P colorable from the given list masks?
+def _independent_sets(H: Graph) -> dict[int, int]:
+    """D_I for every non-empty independent set I of H, keyed by I.
 
-    ``cache`` keeps each P's vertices and relabelled rows across calls.
+    D_I is the 2**n-bit mask of the vertex sets X with ``X & I == 0``,
+    built as the AND of the per-vertex masks of I's members; the mask for
+    vertex v is runs of 2**v ones alternating with 2**v zeros from X = 0.
     """
-    got = cache.get(P)
-    if got is None:
-        verts = bit_list(P)
-        got = cache[P] = (verts, relabel_rows(H.adj, verts))
-    verts, adj = got
-    return _solve_list_coloring(len(verts), adj, [masks[v] for v in verts]) is not None
+    every = (1 << (1 << H.n)) - 1
+    without = [((1 << (1 << v)) - 1) * (every // ((1 << (2 << v)) - 1)) for v in range(H.n)]
+    free = {0: every}
+    for I in range(1, 1 << H.n):
+        low = I & -I
+        v = low.bit_length() - 1
+        rest = I ^ low
+        if rest in free and not H.adj[v] & rest:
+            free[I] = free[rest] & without[v]
+    del free[0]
+    return free
+
+
+def _add_color(F: int, moves) -> int:
+    """The colorable family after one more color instance, which may go to
+    any independent set I of the ``moves`` pairs (I, D_I)."""
+    grown = F
+    for I, D in moves:
+        grown |= (F & D) << I
+    return grown
+
+
+def _chromatic_layers(H: Graph, free: dict[int, int]) -> list[int]:
+    """Entry j is the family of vertex sets of H colorable with j colors,
+    up to the first entry that holds the whole vertex set, and so every
+    set; ``free`` is ``_independent_sets(H)``."""
+    full = (1 << H.n) - 1
+    layers = [1]
+    while not layers[-1] >> full & 1:
+        layers.append(_add_color(layers[-1], free.items()))
+    return layers
 
 
 def _capped_uncolorable_supports(H: Graph, k: int) -> list[int] | None:
@@ -264,88 +291,127 @@ def _capped_uncolorable_supports(H: Graph, k: int) -> list[int] | None:
       current lists: later colors are fresh instances, so they cannot
       clash with the fixed choices, and the untouched vertices form a
       choosable proper subgraph however the adversary fills them.
+
+    Colorability is never solved from scratch. Each DFS node carries the
+    colorable family F, an integer of 2**n bits whose bit X is set iff the
+    vertex set X can be properly colored from the node's lists. The root has
+    empty lists, so only the empty set is colorable: F = 1. A child adds one
+    color instance with support S, and X is colorable from the grown lists
+    iff some independent I contained in both S and X takes the new color
+    while X - I is colorable from the parent's lists: the new color appears
+    in no other list, so it can go only to an independent part of S, and
+    removing it leaves a coloring from the old lists. Hence
+
+        F' = OR over independent I within S of ((F & D_I) << I),
+
+    where D_I marks the X with X & I == 0, so that X - I + I = X | I is the
+    bit the shift lands on; I = 0 keeps F. The test of a node is then the
+    bit F >> covered. The caps come from the same update applied to every
+    independent set of H at once, starting again from 1: after j rounds the
+    family holds exactly the sets of chromatic number at most j.
     """
     n = H.n
+    adj = H.adj
     full = (1 << n) - 1
+    free = _independent_sets(H)
+    layers = _chromatic_layers(H, free)
     supports = []
-    caps = []
-    for m in range(1, full + 1):
+    for m in range(full, 0, -1):
         # a color unseen in some member's neighborhood could color that
         # member and delete it, so supports never isolate a vertex
-        if m.bit_count() >= 2 and all(H.adj[v] & m for v in bits(m)):
-            cap = chromatic_number(induced_subgraph(H, m)) - 1
-            if cap >= 1:
-                supports.append(m)
-                caps.append(cap)
-    order = sorted(range(len(supports)), key=lambda i: (-supports[i].bit_count(), -supports[i]))
-    supports = [supports[i] for i in order]
-    caps = [caps[i] for i in order]
-    last_idx = [max((i for i, S in enumerate(supports) if S >> v & 1), default=-1) for v in range(n)]
+        rest = m
+        while rest:
+            low = rest & -rest
+            if not adj[low.bit_length() - 1] & m:
+                break
+            rest ^= low
+        else:
+            supports.append(m)
+    # non-increasing size, then descending mask: the sort is stable
+    supports.sort(key=int.bit_count, reverse=True)
+    # every support has an edge, so chi(H[S]) >= 2 and each cap is >= 1
+    caps = [sum(not layer >> S & 1 for layer in layers) - 1 for S in supports]
+    sizes = [S.bit_count() for S in supports]
+    # reach[i]: the vertices some support at index >= i contains
+    reach = [0] * (len(supports) + 1)
+    for i in range(len(supports) - 1, -1, -1):
+        reach[i] = reach[i + 1] | supports[i]
+    # each support's (I, D_I) pairs, built on its first use
+    splits: list[list[tuple[int, int]] | None] = [None] * len(supports)
     pair_budget = n * k * (k - 1) // 2
     max_colors = 1
     while (max_colors + 1) * max_colors // 2 <= pair_budget:
         max_colors += 1
     cov = [0] * n
     chosen: list[int] = []
-    masks = [0] * n  # current lists, bit i = color instance i
-    structure_cache: dict = {}
-    pairs_of = [d * (d - 1) // 2 for d in range(k + 1)]
 
-    def dfs(idx: int, mult_here: int, need: int) -> bool:
-        covered = 0
-        open_mask = 0
-        hosted = 0
-        for v in range(n):
-            c = cov[v]
-            if c > 0:
-                covered |= 1 << v
-                hosted += pairs_of[c]
-            if c < k:
-                open_mask |= 1 << v
-        # every pair of chosen supports shares a vertex, and a vertex of
-        # coverage c hosts at most C(c, 2) such pairs
-        d = len(chosen)
-        if d * (d - 1) // 2 > hosted:
-            return False
-        if covered and _solve_on_subset(H, covered, masks, structure_cache):
-            return False
+    def dfs(idx: int, mult_here: int, need: int, F: int, covered: int, open_mask: int, hosted: int) -> bool:
+        # the pair count and colorability tests of this node ran in its parent
         if not open_mask:
             return True
+        d = len(chosen)
         if d >= max_colors:
             return False
-        for v in bits(open_mask):
-            if last_idx[v] < idx:
-                return False
+        if open_mask & ~reach[idx]:
+            # an open vertex lies in no support still to come
+            return False
         for C in chosen:
             if not C & open_mask:
                 # a sealed-off support can never meet future ones
                 return False
-        cbit = 1 << d
+        # every pair of chosen supports shares a vertex, and a vertex of
+        # coverage c hosts at most C(c, 2) such pairs; a child has d + 1
+        pairs = d * (d + 1) // 2
         slots = max_colors - d
         for i in range(idx, len(supports)):
             S = supports[i]
             if S & ~open_mask:
                 continue
-            if need > slots * S.bit_count():  # future supports are no larger
+            if need > slots * sizes[i]:  # future supports are no larger
                 break
             used = mult_here if i == idx else 0
             if used >= caps[i]:
                 continue
-            if any(not S & C for C in chosen):
-                continue
-            chosen.append(S)
-            for v in bits(S):
-                cov[v] += 1
-                masks[v] |= cbit
-            if dfs(i, used + 1, need - S.bit_count()):
-                return True
-            for v in bits(S):
-                cov[v] -= 1
-                masks[v] &= ~cbit
-            chosen.pop()
+            for C in chosen:
+                if not S & C:
+                    break
+            else:
+                child_hosted = hosted
+                closed = 0
+                rest = S
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    c = cov[low.bit_length() - 1]
+                    child_hosted += c  # C(c+1, 2) - C(c, 2)
+                    if c == k - 1:
+                        closed |= low
+                if pairs > child_hosted:
+                    continue
+                moves = splits[i]
+                if moves is None:
+                    moves = splits[i] = [(I, free[I]) for I in nonempty_submasks(S, n) if I in free]
+                child_F = _add_color(F, moves)
+                child_covered = covered | S
+                if child_F >> child_covered & 1:
+                    continue
+                chosen.append(S)
+                rest = S
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    cov[low.bit_length() - 1] += 1
+                if dfs(i, used + 1, need - sizes[i], child_F, child_covered, open_mask ^ closed, child_hosted):
+                    return True
+                rest = S
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    cov[low.bit_length() - 1] -= 1
+                chosen.pop()
         return False
 
-    if dfs(0, 0, n * k):
+    if dfs(0, 0, n * k, 1, 0, full, 0):
         return chosen
     return None
 
@@ -366,32 +432,52 @@ def find_uncolorable_assignment(
     below k (greedy coloring always succeeds there) or when the polynomial
     certificate of ``_alon_tarsi_certifies`` proves it k-choosable; both
     are sound, so the result is exact either way.
+
+    The support search keeps families of 2**v(G) bits, and one chromatic
+    layer combines up to 2**v(G) of them, so the order is held to the guard
+    of ``list_chromatic_number``.
     """
+    check_size(G.n, LIST_CHROMATIC_MAX_ORDER, "graph order for find_uncolorable_assignment")
     if k < 1:
         raise ValueError("k must be at least 1")
-    for T in sorted(range(1, 1 << G.n), key=lambda m: (m.bit_count(), m)):
-        degs_ok = all((G.adj[v] & T).bit_count() >= k for v in bits(T))
-        if not degs_ok or not is_connected_subset(G, T):
-            continue
-        sub = induced_subgraph(G, T)
-        if use_shortcuts and (
-            degeneracy(sub)[0] + 1 <= k or _alon_tarsi_certifies(sub, k)
-        ):
-            continue
-        supports = _capped_uncolorable_supports(sub, k)
-        if supports is None:
-            continue
-        verts = bit_list(T)
-        lists: list[set[int]] = [set() for _ in range(G.n)]
-        for i, S in enumerate(supports):
-            for v in bits(S):
-                lists[verts[v]].add(i)
-        fresh = len(supports)
-        for v in range(G.n):
-            if not T >> v & 1:
-                lists[v] = set(range(fresh, fresh + k))
-                fresh += k
-        return ListAssignment.from_lists(lists)
+    adj = G.adj
+    # sets of at most k vertices fail the degree test: a vertex of T has
+    # at most |T| - 1 neighbors in T
+    for size in range(k + 1, G.n + 1):
+        nxt = (1 << size) - 1
+        while not nxt >> G.n:
+            T = nxt
+            # Gosper's hack: the next larger mask with as many bits
+            low = T & -T
+            ripple = T + low
+            nxt = ripple | ((T ^ ripple) >> 2) // low
+            rest = T
+            while rest:
+                low = rest & -rest
+                if (adj[low.bit_length() - 1] & T).bit_count() < k:
+                    break
+                rest ^= low
+            if rest or not is_connected_subset(G, T):
+                continue
+            sub = induced_subgraph(G, T)
+            if use_shortcuts and (
+                degeneracy(sub)[0] + 1 <= k or _alon_tarsi_certifies(sub, k)
+            ):
+                continue
+            supports = _capped_uncolorable_supports(sub, k)
+            if supports is None:
+                continue
+            verts = bit_list(T)
+            lists: list[set[int]] = [set() for _ in range(G.n)]
+            for i, S in enumerate(supports):
+                for v in bits(S):
+                    lists[verts[v]].add(i)
+            fresh = len(supports)
+            for v in range(G.n):
+                if not T >> v & 1:
+                    lists[v] = set(range(fresh, fresh + k))
+                    fresh += k
+            return ListAssignment.from_lists(lists)
     return None
 
 

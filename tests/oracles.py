@@ -7,19 +7,26 @@ exact values the current code returns: the plain list-coloring
 backtracker, the pasting verifier's loop over every injective A-coloring,
 the induced-pattern minor sweep over every size, the four hand-written
 pair searches of the two pseudo-random property checkers, the minor
-search over eagerly built candidate lists, and the Mader sweep over every
-induced subgraph.
+search over eagerly built candidate lists, the Mader sweep over every
+induced subgraph, and the choosability witness search that re-solves every
+node from scratch.
 """
 
 import math
 import random
 from itertools import combinations, permutations, product
 
-from minorforge.coloring import ListAssignment
+from minorforge.coloring import (
+    ListAssignment,
+    _alon_tarsi_certifies,
+    _solve_list_coloring,
+    chromatic_number,
+)
 from minorforge.graphs import (
     Graph,
     bit_list,
     bits,
+    degeneracy,
     induced_subgraph,
     is_connected_subset,
     mask_of,
@@ -173,6 +180,132 @@ def naive_not_k_choosable(G: Graph, k: int) -> bool:
         return False
 
     return dfs((1 << n) - 1)
+
+
+def _reference_solve_on_subset(H: Graph, P: int, masks: list[int], cache: dict) -> bool:
+    got = cache.get(P)
+    if got is None:
+        verts = bit_list(P)
+        got = cache[P] = (verts, relabel_rows(H.adj, verts))
+    verts, adj = got
+    return _solve_list_coloring(len(verts), adj, [masks[v] for v in verts]) is not None
+
+
+def _reference_capped_uncolorable_supports(H: Graph, k: int) -> list[int] | None:
+    """The support DFS as it stood before it carried the colourable-subset
+    family: every node re-solves its covered part from scratch, and every
+    candidate support's cap comes from ``chromatic_number``."""
+    n = H.n
+    full = (1 << n) - 1
+    supports = []
+    caps = []
+    for m in range(1, full + 1):
+        if m.bit_count() >= 2 and all(H.adj[v] & m for v in bits(m)):
+            cap = chromatic_number(induced_subgraph(H, m)) - 1
+            if cap >= 1:
+                supports.append(m)
+                caps.append(cap)
+    order = sorted(range(len(supports)), key=lambda i: (-supports[i].bit_count(), -supports[i]))
+    supports = [supports[i] for i in order]
+    caps = [caps[i] for i in order]
+    last_idx = [max((i for i, S in enumerate(supports) if S >> v & 1), default=-1) for v in range(n)]
+    pair_budget = n * k * (k - 1) // 2
+    max_colors = 1
+    while (max_colors + 1) * max_colors // 2 <= pair_budget:
+        max_colors += 1
+    cov = [0] * n
+    chosen: list[int] = []
+    masks = [0] * n
+    structure_cache: dict = {}
+    pairs_of = [d * (d - 1) // 2 for d in range(k + 1)]
+
+    def dfs(idx: int, mult_here: int, need: int) -> bool:
+        covered = 0
+        open_mask = 0
+        hosted = 0
+        for v in range(n):
+            c = cov[v]
+            if c > 0:
+                covered |= 1 << v
+                hosted += pairs_of[c]
+            if c < k:
+                open_mask |= 1 << v
+        d = len(chosen)
+        if d * (d - 1) // 2 > hosted:
+            return False
+        if covered and _reference_solve_on_subset(H, covered, masks, structure_cache):
+            return False
+        if not open_mask:
+            return True
+        if d >= max_colors:
+            return False
+        for v in bits(open_mask):
+            if last_idx[v] < idx:
+                return False
+        for C in chosen:
+            if not C & open_mask:
+                return False
+        cbit = 1 << d
+        slots = max_colors - d
+        for i in range(idx, len(supports)):
+            S = supports[i]
+            if S & ~open_mask:
+                continue
+            if need > slots * S.bit_count():
+                break
+            used = mult_here if i == idx else 0
+            if used >= caps[i]:
+                continue
+            if any(not S & C for C in chosen):
+                continue
+            chosen.append(S)
+            for v in bits(S):
+                cov[v] += 1
+                masks[v] |= cbit
+            if dfs(i, used + 1, need - S.bit_count()):
+                return True
+            for v in bits(S):
+                cov[v] -= 1
+                masks[v] &= ~cbit
+            chosen.pop()
+        return False
+
+    if dfs(0, 0, n * k):
+        return chosen
+    return None
+
+
+def reference_find_uncolorable_assignment(G: Graph, k: int, *, use_shortcuts: bool = True):
+    """``find_uncolorable_assignment`` as it stood before the support DFS
+    carried the colourable-subset family: same sweep, same reductions, same
+    witness lifting, with no size guard. Kept so that the production
+    search's returned assignments can be compared against it."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    for T in sorted(range(1, 1 << G.n), key=lambda m: (m.bit_count(), m)):
+        degs_ok = all((G.adj[v] & T).bit_count() >= k for v in bits(T))
+        if not degs_ok or not is_connected_subset(G, T):
+            continue
+        sub = induced_subgraph(G, T)
+        if use_shortcuts and (
+            degeneracy(sub)[0] + 1 <= k or _alon_tarsi_certifies(sub, k)
+        ):
+            continue
+        supports = _reference_capped_uncolorable_supports(sub, k)
+        if supports is None:
+            continue
+        verts = bit_list(T)
+        lists: list[set[int]] = [set() for _ in range(G.n)]
+        for i, S in enumerate(supports):
+            for v in bits(S):
+                lists[verts[v]].add(i)
+        fresh = len(supports)
+        for v in range(G.n):
+            if not T >> v & 1:
+                lists[v] = set(range(fresh, fresh + k))
+                fresh += k
+        return ListAssignment.from_lists(lists)
+    return None
 
 
 def are_isomorphic(G: Graph, H: Graph) -> bool:

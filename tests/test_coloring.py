@@ -6,6 +6,9 @@ import pytest
 
 from minorforge.coloring import (
     ListAssignment,
+    _add_color,
+    _chromatic_layers,
+    _independent_sets,
     chromatic_number,
     find_uncolorable_assignment,
     is_k_choosable,
@@ -19,17 +22,25 @@ from minorforge.constructions import TwoCliquePartition, adversarial_lists_for_c
 from minorforge.errors import SizeGuardError
 from minorforge.graphs import (
     Graph,
+    bit_list,
+    bits,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     degeneracy,
     empty_graph,
+    induced_subgraph,
     mask_of,
     path_graph,
 )
 
 from .conftest import random_graph, random_graph_corpus
-from .oracles import naive_l_colorable, naive_not_k_choosable, reference_is_l_colorable
+from .oracles import (
+    naive_l_colorable,
+    naive_not_k_choosable,
+    reference_find_uncolorable_assignment,
+    reference_is_l_colorable,
+)
 
 
 def lists_of(*colors_per_vertex):
@@ -220,6 +231,14 @@ class TestListChromaticNumber:
         with pytest.raises(SizeGuardError):
             list_chromatic_number(empty_graph(9))
 
+    def test_witness_search_size_guard(self, monkeypatch):
+        with pytest.raises(SizeGuardError):
+            find_uncolorable_assignment(empty_graph(9), 1)
+        with pytest.raises(SizeGuardError):
+            is_k_choosable(empty_graph(9), 1)
+        monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
+        assert find_uncolorable_assignment(empty_graph(9), 1) is None
+
     def test_sandwich_on_corpus(self):
         for G in random_graph_corpus(seed=404, count=120, max_n=7):
             chi = chromatic_number(G)
@@ -257,6 +276,87 @@ class TestChoosabilityAgainstNaiveEnumeration:
     def test_classics(self):
         assert naive_not_k_choosable(cycle_graph(5), 2)
         assert not naive_not_k_choosable(complete_bipartite_graph(2, 3), 2)
+
+
+def atlas_graphs(orders) -> list[Graph]:
+    from networkx.generators.atlas import graph_atlas_g
+
+    return [Graph.from_edges(g.number_of_nodes(), list(g.edges()))
+            for g in graph_atlas_g() if g.number_of_nodes() in orders]
+
+
+class TestWitnessSearchAgainstFrozenReference:
+    """The support DFS that carries the colorable family returns the very
+    assignments of the search that re-solved every node from scratch."""
+
+    def test_every_graph_up_to_order_six_at_every_k(self):
+        checked = 0
+        for G in atlas_graphs(range(1, 7)):
+            for k in range(1, degeneracy(G)[0] + 2):
+                for use_shortcuts in (True, False):
+                    got = find_uncolorable_assignment(G, k, use_shortcuts=use_shortcuts)
+                    want = reference_find_uncolorable_assignment(G, k, use_shortcuts=use_shortcuts)
+                    assert got == want, (G, k, use_shortcuts)
+                    checked += got is not None
+        assert checked > 800  # the witnesses themselves are compared, not only None
+
+    def test_seeded_graphs_of_order_seven_and_eight(self):
+        # Above n(k-1) edges no orientation has every out-degree below k, so
+        # Alon-Tarsi cannot certify a k-choosable graph and both searches
+        # walk the whole support tree: at order 8 that can take minutes
+        # (Gr^k~S at k = 3). Those k are left to the order-6 sweep above.
+        rng = random.Random(2718)
+        witnesses = 0
+        for _ in range(300):
+            G = random_graph(rng, rng.randint(7, 8), rng.choice([0.3, 0.45, 0.6]))
+            for k in range(1, degeneracy(G)[0] + 2):
+                if k <= 2 or G.edge_count() <= G.n * (k - 1):
+                    got = find_uncolorable_assignment(G, k)
+                    assert got == reference_find_uncolorable_assignment(G, k), (G, k)
+                    witnesses += got is not None
+        assert witnesses > 300
+
+
+class TestColorableFamily:
+    """Bit X of the family is set iff X is colorable from the current lists,
+    and the chromatic layers give chi of every induced subgraph."""
+
+    @staticmethod
+    def mismatches(H: Graph, supports: list[int], free: dict[int, int]) -> int:
+        bad = 0
+        F = 1
+        lists: list[set[int]] = [set() for _ in range(H.n)]
+        for color, S in enumerate(supports):
+            F = _add_color(F, [(I, D) for I, D in free.items() if not I & ~S])
+            for v in bits(S):
+                lists[v].add(color)
+            for X in range(1 << H.n):
+                L = ListAssignment.from_lists([lists[v] for v in bit_list(X)])
+                colorable = is_l_colorable(induced_subgraph(H, X), L) is not None
+                bad += (F >> X & 1) != colorable
+        layers = _chromatic_layers(H, free)
+        for m in range(1 << H.n):
+            chi = sum(not layer >> m & 1 for layer in layers)
+            bad += chi != chromatic_number(induced_subgraph(H, m))
+        return bad
+
+    @staticmethod
+    def cases():
+        rng = random.Random(1976)
+        for H in random_graph_corpus(seed=1976, count=80, max_n=7, min_n=2):
+            supports = [rng.randrange(1, 1 << H.n) for _ in range(rng.randint(1, 2 * H.n))]
+            yield H, supports
+
+    def test_family_and_layers_match_the_list_solver(self):
+        for H, supports in self.cases():
+            assert self.mismatches(H, supports, _independent_sets(H)) == 0, (H, supports)
+
+    def test_an_update_without_the_disjointness_mask_is_caught(self):
+        bad = 0
+        for H, supports in self.cases():
+            every = (1 << (1 << H.n)) - 1
+            bad += self.mismatches(H, supports, {I: every for I in _independent_sets(H)})
+        assert bad > 0
 
 
 class TestListAssignmentJson:
