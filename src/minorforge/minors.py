@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import check_size
 from .graphs import (
@@ -14,6 +16,7 @@ from .graphs import (
     bit_list,
     bits,
     complete_graph,
+    degeneracy,
     induced_subgraph,
     is_clique,
     is_connected_subset,
@@ -142,16 +145,89 @@ def _series_parallel_reduction(host: Graph) -> Graph:
     return Graph(len(keep), relabel_rows(adj, keep))
 
 
+def _elimination_width(G: Graph, stop: int) -> int:
+    """Width of the min-degree elimination order with fill edges, or a value
+    of at least ``stop`` as soon as the width reaches ``stop``.
+
+    Eliminating v joins its remaining neighbours pairwise (the fill edges)
+    and deletes v; the width is the largest number of remaining neighbours
+    an eliminated vertex had. The vertex of fewest remaining neighbours goes
+    first, the lowest on ties. Any elimination order's width bounds the
+    treewidth from above, so a width below ``stop`` proves treewidth below
+    ``stop``.
+    """
+    adj = list(G.adj)
+    alive = G.vertex_mask()
+    width = 0
+    while alive:
+        v = min(bits(alive), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        if nb.bit_count() > width:
+            width = nb.bit_count()
+            if width >= stop:
+                return width
+        for u in bits(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+        alive ^= 1 << v
+    return width
+
+
+class _PatternPlan(NamedTuple):
+    """Everything the search needs from the pattern alone, in search positions."""
+
+    order: tuple[int, ...]  # pattern vertex at each search position
+    same_class_as_prev: tuple[bool, ...]
+    earlier_nbrs: tuple[tuple[int, ...], ...]  # positions before i adjacent to i
+    later_own: tuple[int, ...]  # pattern neighbours of position i after i
+    # per position i: (j, pattern neighbours of j after i) for each earlier
+    # position j that still has some
+    later_placed: tuple[tuple[tuple[int, int], ...], ...]
+    pattern_e: int
+    lb: int  # degeneracy, a lower bound on the pattern's treewidth
+
+
+@lru_cache(maxsize=64)
+def _pattern_plan(pattern: Graph) -> _PatternPlan:
+    """The pattern's search plan, built once per pattern (graphs are frozen)."""
+    twin = _twin_classes(pattern)
+    order = tuple(sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), twin[v], v)))
+    same_class_as_prev = (False,) + tuple(
+        twin[order[i]] == twin[order[i - 1]] for i in range(1, len(order))
+    )
+    rows = relabel_rows(pattern.adj, order)
+    later_placed = []
+    for i in range(pattern.n):
+        counts = ((j, (rows[j] >> (i + 1)).bit_count()) for j in range(i))
+        later_placed.append(tuple((j, c) for j, c in counts if c))
+    return _PatternPlan(
+        order=order,
+        same_class_as_prev=same_class_as_prev,
+        earlier_nbrs=tuple(tuple(bit_list(row & ((1 << i) - 1))) for i, row in enumerate(rows)),
+        later_own=tuple((row >> (i + 1)).bit_count() for i, row in enumerate(rows)),
+        later_placed=tuple(later_placed),
+        pattern_e=pattern.edge_count(),
+        lb=degeneracy(pattern)[0],
+    )
+
+
 def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
     """A valid minor model of the pattern in the host, or None.
 
-    When the pattern has minimum degree at least 3, the host is first cut
-    down by ``_series_parallel_reduction`` (delete vertices of degree at most
-    1, suppress vertices of degree 2, until none is left). If the reduced
-    host has no model, the answer is None; otherwise the model is searched
-    for in the original host, so the returned witness does not depend on the
-    reduction (a host that loses no vertex is searched once). This is exact,
-    because the host has a model iff the reduced host has one:
+    The returned model is always the first one ``_search_model`` finds in
+    the original host. When the pattern has minimum degree at least 3, three
+    exact negative filters run first, in this order, and each answers None
+    only where that search would:
+
+    1. ``_series_parallel_reduction`` cuts the host down (delete vertices of
+       degree at most 1, suppress vertices of degree 2, until none is left).
+       If fewer vertices than the pattern's are left, the answer is None.
+    2. If the reduced host's min-degree elimination width is below
+       lb = degeneracy(pattern), the answer is None.
+    3. If the reduction removed a vertex and the reduced host has no model,
+       the answer is None (a host that loses no vertex is searched once).
+
+    Filter 1 and 3 are exact because the host has a model iff the reduced
+    host has one:
 
     - The reduced host is a minor of the host, so a model in it gives one in
       the host.
@@ -166,8 +242,21 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
       va into a: the branch set stays connected, and an edge from v to its
       other neighbour b becomes the edge ab that suppression adds.
 
+    Filter 2 is exact because treewidth does not grow under taking minors,
+    and every graph has treewidth at least its degeneracy (a graph of
+    treewidth k has a vertex of degree at most k, and so does each of its
+    subgraphs). A host with an elimination order of width w < lb has
+    treewidth at most w < lb <= tw(pattern), so the pattern is not its
+    minor. The elimination is skipped when the reduced host has more than
+    (lb - 1)n - (lb - 1)lb/2 edges: a graph of treewidth at most lb - 1 on
+    n >= lb vertices has at most that many, so a denser host has treewidth
+    at least lb and no elimination order of width below lb. The elimination
+    stops as soon as its width reaches lb. The filter can only fire when
+    lb >= 4: the reduced host has minimum degree at least 3, so the first
+    vertex eliminated already has 3 neighbours.
+
     Patterns of minimum degree below 3 (K1-K3, cycles, paths) skip the
-    reduction: a cycle host reduces to nothing but contains a triangle.
+    filters: a cycle host reduces to nothing but contains a triangle.
 
     The search itself (``_search_model``) backtracks over branch sets:
     pattern vertices by descending degree, candidate branch sets by
@@ -176,14 +265,23 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
     builds the rest of the list. Their size is capped by the remaining
     host-vertex budget and by the host edge budget (a model needs one host
     edge per pattern edge plus a spanning tree inside every branch set).
-    The search also prunes on pattern edges that no remaining host vertex
-    can still realize. Twin pattern vertices are searched with increasing
+    After a branch set is placed, every placed branch set must keep as many
+    free host neighbours as it has unplaced pattern neighbours (see
+    ``_search_model``). Twin pattern vertices are searched with increasing
     branch-set minima, which skips permuted duplicates: the walk only
     visits submasks above the previous twin's minimum. The first model
     found is returned, so the witness is deterministic.
     """
     if min_degree(pattern) >= 3:
         reduced = _series_parallel_reduction(host)
+        if reduced.n < pattern.n:
+            return None
+        lb = _pattern_plan(pattern).lb
+        n = reduced.n
+        if reduced.edge_count() <= (lb - 1) * n - (lb - 1) * lb // 2 and (
+            _elimination_width(reduced, lb) < lb
+        ):
+            return None
         # an unreduced host is the host itself: searching it twice gains nothing
         if reduced.n < host.n and _search_model(reduced, pattern) is None:
             return None
@@ -191,24 +289,26 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
 
 
 def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
-    """The first minor model of the branch-set backtracking search, or None."""
+    """The first minor model of the branch-set backtracking search, or None.
+
+    Viability prune: after Z is placed at position i, every placed position
+    j <= i (Z included) with k pattern neighbours after position i must have
+    at least k host vertices in N(Z_j) that are still free, or the node is
+    skipped. In any model below the node, the branch sets of those k
+    neighbours are pairwise disjoint and lie in the free vertices, and each
+    holds a vertex adjacent to Z_j, i.e. a free vertex of N(Z_j); so k such
+    vertices exist. A skipped node has no model below it, so the first model
+    found is the one the unpruned search finds.
+    """
     if pattern.n == 0:
         return MinorModel({})
     if host.n < pattern.n or host.edge_count() < pattern.edge_count():
         return None
 
-    twin = _twin_classes(pattern)
-    order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), twin[v], v))
-    same_class_as_prev = [False] + [
-        twin[order[i]] == twin[order[i - 1]] for i in range(1, len(order))
-    ]
+    order, same_class_as_prev, earlier_nbrs, later_own, later_placed, pattern_e, _ = (
+        _pattern_plan(pattern)
+    )
     host_e = host.edge_count()
-    pattern_e = pattern.edge_count()
-    # pattern adjacency restated in search positions
-    rows = relabel_rows(pattern.adj, order)
-    earlier_nbrs = [bit_list(row & ((1 << i) - 1)) for i, row in enumerate(rows)]
-    last_nbr_pos = [row.bit_length() - 1 for row in rows]
-
     hadj = host.adj
     assigned: list[VertexSet] = []
     reach: list[VertexSet] = []  # host neighborhoods of each assigned branch set
@@ -223,6 +323,8 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
         if max_size < 1:
             return None
         need = [reach[j] for j in earlier_nbrs[depth]]  # Z must touch each of these
+        own_later = later_own[depth]
+        placed_later = later_placed[depth]
         walk = avail
         if same_class_as_prev[depth]:
             # a twin's branch set has a larger minimum than the previous one's
@@ -249,22 +351,20 @@ def _search_model(host: Graph, pattern: Graph) -> MinorModel | None:
                 nb |= hadj[low.bit_length() - 1]
                 rest ^= low
             nb &= ~Z
-            # every pattern edge into positions beyond this one must stay realizable
-            viable = not (last_nbr_pos[depth] > depth and not nb & nxt_avail)
-            if viable:
-                for j in range(depth):
-                    if last_nbr_pos[j] > depth and not reach[j] & nxt_avail:
-                        viable = False
-                        break
-            if not viable:
+            # each later pattern neighbour needs its own free host neighbour
+            if (nb & nxt_avail).bit_count() < own_later:
                 continue
-            assigned.append(Z)
-            reach.append(nb)
-            got = search(depth + 1, nxt_avail, tree_edges + Z.bit_count() - 1)
-            assigned.pop()
-            reach.pop()
-            if got is not None:
-                return got
+            for j, later in placed_later:
+                if (reach[j] & nxt_avail).bit_count() < later:
+                    break
+            else:
+                assigned.append(Z)
+                reach.append(nb)
+                got = search(depth + 1, nxt_avail, tree_edges + Z.bit_count() - 1)
+                assigned.pop()
+                reach.pop()
+                if got is not None:
+                    return got
 
     sets = search(0, host.vertex_mask(), 0)
     return MinorModel(sets) if sets is not None else None

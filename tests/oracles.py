@@ -9,7 +9,8 @@ the induced-pattern minor sweep over every size, the four hand-written
 pair searches of the two pseudo-random property checkers, the minor
 search over eagerly built candidate lists, the Mader sweep over every
 induced subgraph, and the choosability witness search that re-solves every
-node from scratch.
+node from scratch. The exact treewidth is a subset dynamic programme, with
+no elimination heuristic.
 """
 
 import math
@@ -128,6 +129,34 @@ def brute_vertex_connectivity(G: Graph) -> int:
             if not connected_within(left):
                 return size
     return G.n - 1
+
+
+def exact_treewidth(G: Graph) -> int:
+    """Treewidth by the subset dynamic programme of Bodlaender et al., *On
+    exact algorithms for treewidth* (2006); -1 for the empty graph.
+
+    TW(S) is the least width of an elimination order that starts with the
+    vertices of S: TW(S) = min over v in S of max(TW(S - v), |Q(S - v, v)|),
+    where Q(S - v, v) is the set of vertices outside S joined to v by a path
+    whose inner vertices lie in S - v. Then tw(G) = TW(V).
+    """
+    tw = [-1] * (1 << G.n)
+    for S in range(1, 1 << G.n):  # every S - v is smaller than S
+        best = G.n
+        for v in bits(S):
+            comp = frontier = 1 << v  # v's component in G[S]
+            while frontier:
+                grow = 0
+                for u in bits(frontier):
+                    grow |= G.adj[u]
+                frontier = grow & S & ~comp
+                comp |= frontier
+            q = 0
+            for u in bits(comp):
+                q |= G.adj[u]
+            best = min(best, max(tw[S ^ 1 << v], (q & ~S).bit_count()))
+        tw[S] = best
+    return tw[-1]
 
 
 def reference_best_induced_connectivity(H: Graph) -> int:

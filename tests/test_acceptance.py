@@ -128,6 +128,8 @@ def test_criterion_4_glue_closure_trials():
             pattern, kappa = patterns[trial % 3]
             union = glued_minor_free_pair(rng, pattern, kappa, max_n=8)
             assert contains_minor(union, pattern) is None
+            # the backtracker alone, without the filters in front
+            assert _search_model(union, pattern) is None
 
 
 def test_criterion_5_property_q_reduction_and_arithmetic():

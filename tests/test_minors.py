@@ -13,6 +13,7 @@ from minorforge.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    degeneracy,
     empty_graph,
     induced_subgraph,
     mask_of,
@@ -24,6 +25,7 @@ from minorforge.minors import (
     CliqueSumSpec,
     MinorModel,
     _contract_edge,
+    _elimination_width,
     _search_model,
     _series_parallel_reduction,
     _spanning_subgraph_iso,
@@ -40,7 +42,7 @@ from minorforge.minors import (
 from minorforge.random_models import sample_bipartite
 
 from .conftest import random_graph
-from .oracles import reference_minor_free_all_induced, reference_search_model
+from .oracles import exact_treewidth, reference_minor_free_all_induced, reference_search_model
 
 
 class TestVerifyModel:
@@ -444,6 +446,85 @@ class TestSeriesParallelFilter:
         assert _series_parallel_reduction(cycle).n == 0
         model = contains_minor(cycle, complete_graph(3))
         assert model is not None and verify_model(cycle, complete_graph(3), model)
+
+
+CUBE = Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1])
+
+
+class TestEliminationWidthFilter:
+    def test_exact_treewidth_oracle_on_known_graphs(self, petersen):
+        grid = Graph.from_edges(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
+                                + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
+        known = [(empty_graph(0), -1), (empty_graph(3), 0), (path_graph(6), 1), (cycle_graph(7), 2),
+                 (complete_graph(6), 5), (complete_bipartite_graph(3, 3), 3), (grid, 3),
+                 (CUBE, 3), (petersen, 4)]
+        for G, tw in known:
+            assert exact_treewidth(G) == tw, G
+
+    def test_width_brackets_treewidth(self):
+        """degeneracy <= tw <= elimination width, and tw <= k caps the edges
+        at kn - k(k+1)/2, the bound that lets contains_minor skip the
+        elimination."""
+        import networkx as nx
+
+        hosts = [Graph.from_edges(g.number_of_nodes(), g.edges())
+                 for g in nx.graph_atlas_g()[1:]]  # every graph of order 1..7
+        rng = random.Random(66)
+        hosts += [random_graph(rng, rng.randint(8, 10), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+                  for _ in range(300)]
+        loose = 0
+        for G in hosts:
+            tw = exact_treewidth(G)
+            width = _elimination_width(G, G.n)
+            assert degeneracy(G)[0] <= tw <= width, G
+            assert G.edge_count() <= tw * G.n - tw * (tw + 1) // 2, G
+            for stop in range(1, width + 1):  # the early stop reports reaching stop
+                assert _elimination_width(G, stop) >= stop
+            loose += tw < width
+        assert loose >= 1  # the heuristic is an upper bound, not the treewidth
+
+    def test_filtered_verdict_matches_oracle_and_witness_is_the_search(self):
+        patterns = {"K4": complete_graph(4), "K5": complete_graph(5), "K6": complete_graph(6),
+                    "K33": complete_bipartite_graph(3, 3), "W5": DEGREE_3_PATTERNS["W5"],
+                    "cube": CUBE}
+        rng = random.Random(65)
+        hosts = [random_graph(rng, rng.randint(4, 9), rng.choice([0.3, 0.45, 0.6, 0.75]))
+                 for _ in range(400)]
+        for name, pattern in patterns.items():
+            lb = degeneracy(pattern)[0]
+            found = filtered = 0
+            for host in hosts:
+                model = contains_minor(host, pattern)
+                assert (model is not None) == contains_minor_contraction_oracle(host, pattern)
+                assert model == _search_model(host, pattern)
+                found += model is not None
+                reduced = _series_parallel_reduction(host)
+                filtered += reduced.n >= pattern.n and _elimination_width(reduced, lb) < lb
+            assert 0 < found < len(hosts), name
+            if lb >= 4:  # a reduced host has minimum degree 3, so width >= 3
+                assert filtered >= 40, name
+
+    def test_counting_prune_cuts_connectivity_tests(self, monkeypatch):
+        """The prism over C6 is planar and 3-regular: the reduction keeps it
+        whole and its elimination width is 4 = degeneracy(K5), so only the
+        search answers. Asking only for one free neighbour per placed branch
+        set, as the search once did, costs 109,239 connectivity tests here."""
+        rim = [(i, (i + 1) % 6) for i in range(6)]
+        prism = Graph.from_edges(12, rim + [(u + 6, v + 6) for u, v in rim]
+                                 + [(i, i + 6) for i in range(6)])
+        assert _series_parallel_reduction(prism) == prism
+        assert _elimination_width(prism, 4) == 4
+        calls = 0
+        original = minors.is_connected_subset
+
+        def counting(G, S):
+            nonlocal calls
+            calls += 1
+            return original(G, S)
+
+        monkeypatch.setattr(minors, "is_connected_subset", counting)
+        assert contains_minor(prism, complete_graph(5)) is None
+        assert 0 < calls < 75_000
 
 
 class TestSearchWithoutFilter:
