@@ -1,5 +1,9 @@
 """The forge command line: samplers, exact checks, bounds, pastings, and
-pipeline runs emitting JSON reports plus CSV summaries."""
+pipeline runs emitting JSON reports plus CSV summaries.
+
+Each command imports the package modules it runs in its own body, so a
+``forge`` process loads (and, without a bytecode cache, compiles) only those.
+"""
 
 from __future__ import annotations
 
@@ -11,34 +15,7 @@ from pathlib import Path
 
 import click
 
-from .coloring import ListAssignment, is_l_colorable, list_chromatic_number, verify_choosability_witness
-from .constructions import (
-    PastingSpec,
-    TwoCliquePartition,
-    check_pasting_lower_bound,
-    k_fold_pasting,
-)
 from .errors import OPERATION_ERRORS
-from .graphio import load_graph, read_path_or_text, to_graph6
-from .graphs import BipartiteGraph, mask_of
-from .minors import contains_minor, hadwiger_number, verify_model
-from .pipelines import replay_report, run_pipeline
-from .random_models import (
-    PropertyPParams,
-    PropertyQParams,
-    check_property_P,
-    check_property_Q,
-    chernoff_lower,
-    chernoff_upper,
-    constant_C,
-    constant_D,
-    m_of,
-    propQ_failure_bound,
-    q_n_bound,
-    sample_bipartite,
-    sample_gnm_sequential,
-    sample_gnm_uniform,
-)
 from .reports import ExperimentConfig, jsonable, load_report_dict, write_run_dir
 
 
@@ -87,6 +64,9 @@ def sample():
 @forge_errors
 def sample_gnm_cmd(n, m, seed, algo):
     """Uniform n-vertex graph with exactly m edges."""
+    from .graphio import to_graph6
+    from .random_models import sample_gnm_sequential, sample_gnm_uniform
+
     sampler = sample_gnm_sequential if algo == "sequential" else sample_gnm_uniform
     G = sampler(n, m, seed)
     _emit({"graph6": to_graph6(G), "n": G.n, "edges": G.edge_count(), "seed": seed, "algo": algo})
@@ -100,6 +80,8 @@ def sample_gnm_cmd(n, m, seed, algo):
 @forge_errors
 def sample_bipartite_cmd(m, n, p, seed):
     """Bipartite graph with independent cross edges."""
+    from .random_models import sample_bipartite
+
     B = sample_bipartite(m, n, p, seed)
     _emit({
         "a_size": B.a_size,
@@ -121,6 +103,9 @@ def sample_bipartite_cmd(m, n, p, seed):
 @forge_errors
 def check_minor_cmd(host, pattern, hadwiger):
     """Exact minor containment with a verified branch-set witness."""
+    from .graphio import load_graph
+    from .minors import contains_minor, hadwiger_number, verify_model
+
     G, H = load_graph(host), load_graph(pattern)
     model = contains_minor(G, H)
     payload = {"contains": model is not None}
@@ -140,6 +125,11 @@ def check_minor_cmd(host, pattern, hadwiger):
 @forge_errors
 def check_choosability_cmd(graph, lists_path, k, exact_chi_l):
     """List-colorability of one instance, or the exact list chromatic number."""
+    if k is not None and lists_path is None:
+        raise click.UsageError("-k certifies a witness and needs --lists")
+    from .coloring import ListAssignment, is_l_colorable, list_chromatic_number, verify_choosability_witness
+    from .graphio import load_graph
+
     G = load_graph(graph)
     payload = {}
     if lists_path is not None:
@@ -187,6 +177,9 @@ def _emit_property_report(mode: str, seed, check) -> None:
 @forge_errors
 def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
     """Edge spread between all pairs of linear-size disjoint vertex sets."""
+    from .graphio import load_graph
+    from .random_models import PropertyQParams, check_property_Q
+
     _emit_property_report(mode, seed, lambda: check_property_Q(
         load_graph(graph), PropertyQParams(Fraction(delta), Fraction(D)), mode,
         pairs=pairs, budget=budget, seed=seed,
@@ -202,11 +195,14 @@ def check_property_q_cmd(graph, delta, D, pairs, mode, budget, seed):
 @click.option("--mode", type=click.Choice(["exact", "falsify"]), default="exact", show_default=True)
 @click.option("--k-l-range", type=click.Choice(["full", "minimal"]), default="full", show_default=True)
 @click.option("--budget", type=click.IntRange(min=0), default=10000, show_default=True)
-@click.option("--node-budget", type=int, default=2_000_000, show_default=True)
+@click.option("--node-budget", type=click.IntRange(min=0), default=2_000_000, show_default=True)
 @click.option("--seed", type=int, default=None, help="Seed (mandatory for falsify mode)")
 @forge_errors
 def check_property_p_cmd(graph, bip_path, delta, s, mode, k_l_range, budget, node_budget, seed):
     """Joined-pair property of a bipartite host against a pattern graph."""
+    from .graphio import load_graph, read_path_or_text
+    from .graphs import BipartiteGraph
+    from .random_models import PropertyPParams, check_property_P
 
     def check():
         H = load_graph(graph)
@@ -234,6 +230,8 @@ def bounds():
 @forge_errors
 def bounds_chernoff_cmd(mu, delta):
     """Upper and lower tail bounds at relative deviation delta."""
+    from .random_models import chernoff_lower, chernoff_upper
+
     mu_v, delta_v = Fraction(mu), Fraction(delta)
     _emit({
         "upper_tail": chernoff_upper(mu_v, delta_v),
@@ -249,6 +247,8 @@ def bounds_chernoff_cmd(mu, delta):
 @forge_errors
 def bounds_constants_cmd(delta, p, n):
     """Derived constants D and C, plus size-dependent bounds when n is given."""
+    from .random_models import constant_C, constant_D, m_of, propQ_failure_bound, q_n_bound
+
     delta_v, p_v = Fraction(delta), Fraction(p)
     D = constant_D(delta_v, p_v)
     C = constant_C(delta_v, p_v)
@@ -275,6 +275,10 @@ def bounds_constants_cmd(delta, p, n):
 @forge_errors
 def pasting_cmd(graph, attach, copies):
     """Materialize the K-fold pasting of a graph at an attachment set."""
+    from .constructions import PastingSpec, k_fold_pasting
+    from .graphio import load_graph, to_graph6
+    from .graphs import mask_of
+
     F = load_graph(graph)
     spec = PastingSpec(F, mask_of(_vertex_list(attach)), copies)
     pasted = k_fold_pasting(spec)
@@ -295,6 +299,10 @@ def pasting_cmd(graph, attach, copies):
 @forge_errors
 def verify_pasting_bound_cmd(graph, part_a, part_b, slack):
     """Certify the pasting lower bound without materializing the pasting."""
+    from .constructions import TwoCliquePartition, check_pasting_lower_bound
+    from .graphio import load_graph
+    from .graphs import mask_of
+
     F = load_graph(graph)
     part = TwoCliquePartition(F, mask_of(_vertex_list(part_a)), mask_of(_vertex_list(part_b)), slack)
     check = check_pasting_lower_bound(part)
@@ -311,7 +319,12 @@ def verify_pasting_bound_cmd(graph, part_a, part_b, slack):
 # pipelines
 
 
-def _finish_pipeline(report, out):
+def _run_pipeline(cfg: ExperimentConfig, out) -> None:
+    """Run the configured pipeline, write its run directory when ``out`` is
+    given, and emit the report."""
+    from .pipelines import run_pipeline
+
+    report = run_pipeline(cfg)
     payload = report.to_dict()
     if out is not None:
         write_run_dir(report, out)
@@ -354,7 +367,7 @@ def pipeline_conn_cmd(graph, epsilon, seed, attempts, config_path, out):
     """Connectivity-driven bound pipeline."""
     cfg = _pipeline_config("conn", config_path, {"epsilon": epsilon},
                            graph=graph, seed=seed, attempts=attempts)
-    _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
+    _run_pipeline(cfg, out or cfg.output_dir)
 
 
 @pipeline.command("random")
@@ -373,7 +386,7 @@ def pipeline_random_cmd(n, epsilon, delta, p, D, seed, attempts, config_path, ou
     cfg = _pipeline_config("random", config_path,
                            {"n": n, "epsilon": epsilon, "delta": delta, "p": p, "D": D},
                            seed=seed, attempts=attempts)
-    _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
+    _run_pipeline(cfg, out or cfg.output_dir)
 
 
 @pipeline.command("isolated")
@@ -393,7 +406,7 @@ def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path
     """Isolated-vertex padding pipeline."""
     cfg = _pipeline_config("isolated", config_path, {"k": k}, graph=graph, seed=seed,
                            sample_count=samples, sample_max_vertices=max_n, edge_prob=edge_prob)
-    _finish_pipeline(run_pipeline(cfg), out or cfg.output_dir)
+    _run_pipeline(cfg, out or cfg.output_dir)
 
 
 @pipeline.command("mader")
@@ -402,7 +415,7 @@ def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path
 @forge_errors
 def pipeline_mader_cmd(graph, out):
     """Average-degree to connected-subgraph search check (deterministic)."""
-    _finish_pipeline(run_pipeline(ExperimentConfig(pipeline="mader", graph=graph)), out)
+    _run_pipeline(ExperimentConfig(pipeline="mader", graph=graph), out)
 
 
 @main.command("replay")
@@ -410,6 +423,8 @@ def pipeline_mader_cmd(graph, out):
 @forge_errors
 def replay_cmd(report_path):
     """Re-derive every certified line of a saved report."""
+    from .pipelines import replay_report
+
     data = load_report_dict(report_path)
     results = replay_report(data)
     ok = all(r["ok"] for r in results)

@@ -255,8 +255,10 @@ def check_property_P(
     two); any value but ``"minimal"`` and ``"full"`` is a ValueError, in
     every mode. Falsify mode samples candidate witnesses and can only return
     ``fails`` or ``inconclusive``. Node budget exhaustion in exact mode is
-    an error, not a verdict.
+    an error, not a verdict; a negative ``node_budget`` is a ValueError.
     """
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be nonnegative, got {node_budget}")
     cap = math.floor(1 / params.delta)
 
     def violation(xs, ys, edges, rng, spend):
@@ -413,7 +415,10 @@ def _chernoff(mu, delta, divisor: int) -> float:
         raise ValueError("mu must be positive")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    return math.exp(-float(Fraction(delta) ** 2 * Fraction(mu)) / divisor)
+    exponent = Fraction(delta) ** 2 * Fraction(mu)
+    if exponent > 746 * divisor:  # exp(-746) is below the least subnormal float
+        return 0.0
+    return math.exp(-float(exponent) / divisor)
 
 
 def chernoff_upper(mu, delta) -> float:

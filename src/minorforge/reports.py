@@ -1,11 +1,13 @@
 """Run reports: canonical JSON, determinism hashing, CSV summaries, and the
-experiment configuration loader."""
+experiment configuration loader.
+
+``configparser``, ``csv`` and ``hashlib`` are imported by the functions that
+use them: the CLI imports this module for every command, and most commands
+never hash, write or parse a config.
+"""
 
 from __future__ import annotations
 
-import configparser
-import csv
-import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields
@@ -62,6 +64,8 @@ def _strip_volatile(obj):
 
 
 def params_hash(params: dict) -> str:
+    import hashlib
+
     return hashlib.sha256(canonical_json(params).encode()).hexdigest()[:12]
 
 
@@ -154,6 +158,8 @@ class RunReport:
 
 def determinism_hash(report_dict: dict) -> str:
     """Hash of the report with timing and location fields excluded."""
+    import hashlib
+
     return hashlib.sha256(canonical_json(_strip_volatile(report_dict)).encode()).hexdigest()
 
 
@@ -164,6 +170,8 @@ def write_run_dir(report: RunReport, out_dir: str | Path) -> Path:
     directory. Both files are written under temporary names and renamed into
     place only when both are complete, so a failed write leaves neither.
     """
+    import csv
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".forge-lock"
@@ -220,6 +228,8 @@ class ExperimentConfig:
         if text.lstrip().startswith("{"):
             data = json.loads(text)
         else:
+            import configparser
+
             parser = configparser.ConfigParser()
             parser.read_string(text)
             sections = {name: dict(parser[name]) for name in parser.sections()}

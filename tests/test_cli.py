@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +16,8 @@ from minorforge.random_models import PropertyPParams, PropertyQParams
 
 from .conftest import petersen_graph
 from .oracles import reference_check_property_P, reference_check_property_Q
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -51,6 +56,10 @@ class TestBounds:
         data = invoke_json(runner, ["bounds", "constants", "--delta", "1", "-p", "1/2", "-n", "10"])
         assert data["D"] == "202/25"
         assert data["m_clamped"] is True
+
+    def test_chernoff_past_the_float_range(self, runner):
+        data = invoke_json(runner, ["bounds", "chernoff", "--mu", "1e400", "--delta", "1/2"])
+        assert data == {"upper_tail": 0.0, "lower_tail": 0.0, "bound": 0.0}
 
     def test_bad_domain_exits_nonzero(self, runner):
         result = runner.invoke(main, ["bounds", "chernoff", "--mu", "0", "--delta", "1"])
@@ -94,6 +103,11 @@ class TestChoosability:
     def test_nothing_to_do(self, runner):
         result = runner.invoke(main, ["check-choosability", "--graph", "Bw"])
         assert result.exit_code != 0
+
+    def test_k_without_lists_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["check-choosability", "--graph", "Bw", "-k", "5", "--exact-chi-l"])
+        assert result.exit_code == 2
+        assert "-k certifies a witness and needs --lists" in result.output
 
 
 class TestProperties:
@@ -144,6 +158,13 @@ class TestProperties:
                                           "--seed", "1", "--budget", "-5"])
             assert result.exit_code == 2
             assert "Invalid value for '--budget'" in result.output
+
+    def test_negative_node_budget_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["check-property", "p", "--graph", to_graph6(complete_graph(4)),
+                                      "--bipartite", json.dumps({"a_size": 4, "b_size": 4, "edges": []}),
+                                      "--delta", "1/2", "-s", "1", "--node-budget", "-5"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--node-budget'" in result.output
 
     def test_falsify_output_with_a_seed(self, runner):
         cases = (
@@ -287,3 +308,57 @@ class TestPipelines:
         )
         assert data["verdict"] == "gadget-not-found"
         assert any("clamped" in note for note in data["notes"])
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter on argv, importing the package from the source tree."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def _strip_volatile(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_volatile(v) for k, v in obj.items() if k not in {"runtime_ms", "output_dir"}}
+    if isinstance(obj, list):
+        return [_strip_volatile(v) for v in obj]
+    return obj
+
+
+class TestProcess:
+    """The CLI as a child process: what it loads, and ``python -m``."""
+
+    def test_commands_load_only_the_modules_they_run(self):
+        script = """
+import json, sys
+import minorforge.cli
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("minorforge."))
+on_import = loaded()
+minorforge.cli.main(["check-minor", "--host", "Bw", "--pattern", "A_"], standalone_mode=False)
+print(json.dumps([on_import, loaded()]))
+"""
+        child = run_child("-c", script)
+        assert child.returncode == 0, child.stderr
+        on_import, after_check_minor = json.loads(child.stdout.splitlines()[-1])
+        assert on_import == ["minorforge.cli", "minorforge.errors", "minorforge.reports"]
+        unused = {"pipelines", "constructions", "coloring", "random_models"}
+        assert not unused & {name.split(".")[1] for name in after_check_minor}
+
+    def test_python_m_matches_the_in_process_result(self, runner, tmp_path):
+        k4, k6 = to_graph6(complete_graph(4)), to_graph6(complete_graph(6))
+        conn = ["pipeline", "conn", "--graph", k6, "--epsilon", "3/10", "--seed", "42", "--attempts", "500"]
+        commands = [
+            (["check-minor", "--host", to_graph6(petersen_graph()), "--pattern", to_graph6(complete_graph(5))],
+             None),
+            (["check-choosability", "--graph", k4, "--exact-chi-l"], None),
+            (["check-property", "q", "--graph", k6, "--delta", "1/2", "-D", "3/2"], None),
+            (["bounds", "constants", "--delta", "1/2", "-p", "1/4", "-n", "10"], None),
+            (["verify-pasting-bound", "--graph", to_graph6(complete_graph(3)),
+              "--part-a", "0", "--part-b", "1,2", "-d", "0"], None),
+            ([*conn, "--out", str(tmp_path / "child")], [*conn, "--out", str(tmp_path / "in-process")]),
+            (["replay", "--report", str(tmp_path / "child" / "report.json")], None),
+        ]
+        for argv, in_process_argv in commands:
+            child = run_child("-m", "minorforge.cli", *argv)
+            assert child.returncode == 0, (argv, child.stderr)
+            want = invoke_json(runner, in_process_argv or argv)
+            assert _strip_volatile(json.loads(child.stdout)) == _strip_volatile(want), argv

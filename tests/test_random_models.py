@@ -223,6 +223,13 @@ class TestPropertyP:
         with pytest.raises(BudgetExceededError):
             check_property_P(G, complete_graph(4), self.params(), node_budget=5)
 
+    def test_negative_node_budget_is_an_error(self):
+        G = sample_bipartite(4, 4, 1, seed=2)
+        with pytest.raises(ValueError, match="node_budget must be nonnegative, got -5"):
+            check_property_P(G, complete_graph(4), self.params(), node_budget=-5)
+        with pytest.raises(BudgetExceededError, match="exceeded 0 nodes"):
+            check_property_P(G, complete_graph(4), self.params(), node_budget=0)
+
     def test_falsify_mode(self):
         G = sample_bipartite(4, 4, 0, seed=0)
         report = check_property_P(G, complete_graph(4), self.params(), mode="falsify", seed=11, budget=3000)
@@ -344,6 +351,17 @@ class TestBounds:
             values_l = [chernoff_lower(mu, delta) for mu in (1, 5, 20, 80)]
             assert values_u == sorted(values_u, reverse=True)
             assert values_l == sorted(values_l, reverse=True)
+
+    def test_chernoff_past_the_float_range_is_zero(self):
+        # delta^2 mu overflows a float; the bound is below the least subnormal
+        huge = Fraction("1e400")
+        assert chernoff_upper(huge, Fraction(1, 2)) == 0.0
+        assert chernoff_lower(huge, Fraction(1, 2)) == 0.0
+        # in range, the value is the float formula's, bit for bit
+        assert chernoff_upper(30, 1) == math.exp(-10)
+        for mu in (2237, 2238, 2239, 1491, 1492, 1493):
+            assert chernoff_upper(mu, 1) == math.exp(-float(mu) / 3)
+            assert chernoff_lower(mu, 1) == math.exp(-float(mu) / 2)
 
     def test_chernoff_domain(self):
         with pytest.raises(ValueError):
