@@ -207,18 +207,34 @@ def _alon_tarsi_certifies(H: Graph, k: int) -> bool:
 
     Expands prod (x_u - x_v) over the edges, discarding monomials as soon
     as a degree reaches k. An empty expansion is merely inconclusive.
+
+    Nothing is expanded when H is complete on more than k vertices: such
+    an H is not even k-colorable, so by the Combinatorial Nullstellensatz
+    no coefficient of that kind can be nonzero.
+
+    A monomial is keyed by one integer holding its degree vector in fields
+    of w = bit_length(k-1) bits, vertex u in bits w*u and up. A degree is
+    raised only while it is below k-1 < 2**w, so a field never carries
+    into the next and the key is a bijective image of the degree tuple.
     """
-    if H.edge_count() > H.n * (k - 1):
+    n = H.n
+    m = H.edge_count()
+    top = k - 1
+    if m > n * top or (n > k and 2 * m == n * (n - 1)):
         return False
-    coeffs: dict[tuple[int, ...], int] = {(0,) * H.n: 1}
+    width = max(1, top.bit_length())
+    field = (1 << width) - 1
+    coeffs: dict[int, int] = {0: 1}
     for u, v in H.edges():
-        nxt: dict[tuple[int, ...], int] = {}
+        su, sv = width * u, width * v
+        bu, bv = 1 << su, 1 << sv
+        nxt: dict[int, int] = {}
         for degs, c in coeffs.items():
-            if degs[u] < k - 1:
-                bumped = degs[:u] + (degs[u] + 1,) + degs[u + 1 :]
+            if degs >> su & field < top:
+                bumped = degs + bu
                 nxt[bumped] = nxt.get(bumped, 0) + c
-            if degs[v] < k - 1:
-                bumped = degs[:v] + (degs[v] + 1,) + degs[v + 1 :]
+            if degs >> sv & field < top:
+                bumped = degs + bv
                 nxt[bumped] = nxt.get(bumped, 0) - c
         coeffs = {t: c for t, c in nxt.items() if c}
         if not coeffs:
@@ -488,17 +504,21 @@ def is_k_choosable(G: Graph, k: int, *, use_shortcuts: bool = True) -> bool:
 def list_chromatic_number(G: Graph, *, use_shortcuts: bool = True) -> int:
     """Exact list chromatic number by exhaustive assignment enumeration.
 
-    Greedy coloring along a degeneracy order succeeds from any lists of
-    degeneracy+1 colors, so the search stops at that k at the latest.
+    With d the degeneracy, greedy coloring along a degeneracy order succeeds
+    from any lists of d+1 colors, so chi_l <= d+1. Below chi no
+    k is choosable: giving every vertex the same k colors leaves G
+    uncolorable, so chi <= chi_l. With ``use_shortcuts`` only the k in
+    chi..d are searched, and when chi = d+1 that sandwich closes and nothing
+    is. ``use_shortcuts=False`` is the oracle: it searches every k from 1 to
+    d+1, with no shortcut inside the search either.
     """
     check_size(G.n, LIST_CHROMATIC_MAX_ORDER, "graph order for list_chromatic_number")
     if G.n == 0 or G.edge_count() == 0:
         return min(1, G.n)
-    return next(
-        k
-        for k in range(1, degeneracy(G)[0] + 2)
-        if is_k_choosable(G, k, use_shortcuts=use_shortcuts)
-    )
+    d = degeneracy(G)[0]
+    if not use_shortcuts:
+        return next(k for k in range(1, d + 2) if is_k_choosable(G, k, use_shortcuts=False))
+    return next((k for k in range(chromatic_number(G), d + 1) if is_k_choosable(G, k)), d + 1)
 
 
 def chromatic_number(G: Graph) -> int:

@@ -528,7 +528,9 @@ def _op_pasting_bound_certified(args):
 
 
 def _op_list_chromatic_number(args):
-    return list_chromatic_number(parse_graph6(args["graph"]))
+    # the exhaustive path, so that the replay does not re-run the sandwich
+    # proof that certified the line
+    return list_chromatic_number(parse_graph6(args["graph"]), use_shortcuts=False)
 
 
 def _op_property_q_verdict(args):

@@ -8,9 +8,10 @@ backtracker, the pasting verifier's loop over every injective A-coloring,
 the induced-pattern minor sweep over every size, the four hand-written
 pair searches of the two pseudo-random property checkers, the minor
 search over eagerly built candidate lists, the Mader sweep over every
-induced subgraph, and the choosability witness search that re-solves every
-node from scratch. The exact treewidth is a subset dynamic programme, with
-no elimination heuristic.
+induced subgraph, the choosability witness search that re-solves every
+node from scratch, and the Alon-Tarsi expansion keyed by degree tuples.
+The exact treewidth is a subset dynamic programme, with no elimination
+heuristic.
 """
 
 import math
@@ -19,7 +20,6 @@ from itertools import combinations, permutations, product
 
 from minorforge.coloring import (
     ListAssignment,
-    _alon_tarsi_certifies,
     _solve_list_coloring,
     chromatic_number,
 )
@@ -211,6 +211,28 @@ def naive_not_k_choosable(G: Graph, k: int) -> bool:
     return dfs((1 << n) - 1)
 
 
+def reference_alon_tarsi_certifies(H: Graph, k: int) -> bool:
+    """``_alon_tarsi_certifies`` as it stood before the clique skip and the
+    packed keys: every polynomial is expanded, monomials keyed by their
+    degree tuples."""
+    if H.edge_count() > H.n * (k - 1):
+        return False
+    coeffs: dict[tuple[int, ...], int] = {(0,) * H.n: 1}
+    for u, v in H.edges():
+        nxt: dict[tuple[int, ...], int] = {}
+        for degs, c in coeffs.items():
+            if degs[u] < k - 1:
+                bumped = degs[:u] + (degs[u] + 1,) + degs[u + 1 :]
+                nxt[bumped] = nxt.get(bumped, 0) + c
+            if degs[v] < k - 1:
+                bumped = degs[:v] + (degs[v] + 1,) + degs[v + 1 :]
+                nxt[bumped] = nxt.get(bumped, 0) - c
+        coeffs = {t: c for t, c in nxt.items() if c}
+        if not coeffs:
+            return False
+    return True
+
+
 def _reference_solve_on_subset(H: Graph, P: int, masks: list[int], cache: dict) -> bool:
     got = cache.get(P)
     if got is None:
@@ -307,8 +329,9 @@ def _reference_capped_uncolorable_supports(H: Graph, k: int) -> list[int] | None
 def reference_find_uncolorable_assignment(G: Graph, k: int, *, use_shortcuts: bool = True):
     """``find_uncolorable_assignment`` as it stood before the support DFS
     carried the colourable-subset family: same sweep, same reductions, same
-    witness lifting, with no size guard. Kept so that the production
-    search's returned assignments can be compared against it."""
+    witness lifting, with no size guard, and the frozen Alon-Tarsi
+    expansion. Kept so that the production search's returned assignments
+    can be compared against it."""
     if k < 1:
         raise ValueError("k must be at least 1")
     for T in sorted(range(1, 1 << G.n), key=lambda m: (m.bit_count(), m)):
@@ -317,7 +340,7 @@ def reference_find_uncolorable_assignment(G: Graph, k: int, *, use_shortcuts: bo
             continue
         sub = induced_subgraph(G, T)
         if use_shortcuts and (
-            degeneracy(sub)[0] + 1 <= k or _alon_tarsi_certifies(sub, k)
+            degeneracy(sub)[0] + 1 <= k or reference_alon_tarsi_certifies(sub, k)
         ):
             continue
         supports = _reference_capped_uncolorable_supports(sub, k)

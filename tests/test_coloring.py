@@ -4,9 +4,11 @@ from math import prod
 
 import pytest
 
+from minorforge import coloring
 from minorforge.coloring import (
     ListAssignment,
     _add_color,
+    _alon_tarsi_certifies,
     _chromatic_layers,
     _independent_sets,
     chromatic_number,
@@ -38,6 +40,7 @@ from .conftest import random_graph, random_graph_corpus
 from .oracles import (
     naive_l_colorable,
     naive_not_k_choosable,
+    reference_alon_tarsi_certifies,
     reference_find_uncolorable_assignment,
     reference_is_l_colorable,
 )
@@ -239,6 +242,17 @@ class TestListChromaticNumber:
         monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
         assert find_uncolorable_assignment(empty_graph(9), 1) is None
 
+    def test_no_search_where_the_sandwich_closes(self, monkeypatch):
+        # chi = degeneracy + 1 settles chi_l with no witness search
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(coloring, "find_uncolorable_assignment", no_search)
+        assert list_chromatic_number(complete_graph(8)) == 8
+        assert list_chromatic_number(cycle_graph(7)) == 3
+        tree = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)])
+        assert list_chromatic_number(tree) == 2
+
     def test_sandwich_on_corpus(self):
         for G in random_graph_corpus(seed=404, count=120, max_n=7):
             chi = chromatic_number(G)
@@ -315,6 +329,28 @@ class TestWitnessSearchAgainstFrozenReference:
                     assert got == reference_find_uncolorable_assignment(G, k), (G, k)
                     witnesses += got is not None
         assert witnesses > 300
+
+
+class TestShortcutsAgainstExhaustiveSearch:
+    def test_list_chromatic_number_on_every_graph_up_to_order_six(self):
+        graphs = atlas_graphs(range(0, 7))
+        assert len(graphs) == 209
+        for G in graphs:
+            assert list_chromatic_number(G) == list_chromatic_number(G, use_shortcuts=False), G
+
+    def test_packed_alon_tarsi_matches_the_tuple_keyed_expansion(self):
+        certified = 0
+        for G in atlas_graphs(range(1, 7)):
+            for k in range(1, G.n + 1):
+                got = _alon_tarsi_certifies(G, k)
+                assert got == reference_alon_tarsi_certifies(G, k), (G, k)
+                certified += got
+        assert certified > 300
+        # the cliques the skip answers without expanding
+        for n in range(2, 9):
+            K = complete_graph(n)
+            assert not _alon_tarsi_certifies(K, n - 1)
+            assert not reference_alon_tarsi_certifies(K, n - 1)
 
 
 class TestColorableFamily:

@@ -402,6 +402,17 @@ class TestStepsAndReplayOps:
         assert all(r["ok"] for r in replay_report(isolated.to_dict()))
         assert calls == [5]
 
+    def test_list_chromatic_replay_searches_exhaustively(self, monkeypatch):
+        # the replay must not re-derive chi_l(K_m) = m by the sandwich proof
+        # that certified the line, nor by the Alon-Tarsi shortcut
+        def refused(*args, **kwargs):
+            raise AssertionError("shortcut taken")
+
+        monkeypatch.setattr(coloring, "chromatic_number", refused)
+        monkeypatch.setattr(coloring, "_alon_tarsi_certifies", refused)
+        for m in range(3, 9):
+            assert REPLAY_OPS["list_chromatic_number"]({"graph": to_graph6(complete_graph(m))}) == m
+
     def test_every_replay_op_is_emitted(self):
         reports = [
             pipeline_conn(complete_graph(6), Fraction(3, 10), small_cfg()),
