@@ -267,13 +267,18 @@ def materialized_pasting_instance(
 
 @dataclass
 class GadgetResult:
-    """Outcome of rejection sampling for a minor-free two-clique gadget."""
+    """Outcome of rejection sampling for a minor-free two-clique gadget.
+
+    ``infeasible`` names the proof that no attempt could pass when the
+    builder settled the shape without sampling.
+    """
 
     graph: Graph | None
     partition: TwoCliquePartition | None
     attempts_used: int
     rejections: list[str] = field(default_factory=list)
     seed: int | None = None
+    infeasible: str | None = None
 
     @property
     def found(self) -> bool:
@@ -350,6 +355,19 @@ def build_thm_random_gadget(
     at least ceil((1-delta)*n) vertices. Checking the smallest admissible
     induced subgraphs suffices: patterns on larger vertex sets contain them
     as subgraphs. The partition's slack is floor(delta*n).
+
+    Some shapes are settled without sampling. A kept sample has maximum
+    degree at most s = floor(delta*n), and the gadget F is K_{2*side} minus
+    the sample's edges. If s = 0 the sample is edgeless and F = K_{2*side}.
+    If s = 1 the sample is a matching, and F has a K_t minor with
+    t = floor(3*side/2): for two missing edges xx' and yy', the branch sets
+    {x}, {y} and {x', y'} are connected and pairwise adjacent, and every
+    vertex left over is a branch set of its own (a matching with fewer
+    edges only leaves more). K_t contains every graph on t vertices, so
+    when t >= ceil((1-delta)*n) every kept sample has a minor of the first
+    induced pattern the sweep tries, every attempt would be rejected, and
+    the result is "not found" with no attempt used and the reason in
+    ``infeasible``.
     """
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 3):
@@ -366,6 +384,16 @@ def build_thm_random_gadget(
     if side < 1:
         raise ValueError("(1-3*delta)*n is below 1; no gadget exists at this scale")
     u_size = math.ceil((1 - delta) * n)
+    s = math.floor(delta * n)
+    if s <= 1:
+        clique = 2 * side if s == 0 else 3 * side // 2
+        if clique >= u_size:
+            kept = "edgeless" if s == 0 else "a matching"
+            reason = (
+                f"every sample of maximum degree at most {s} is {kept}, so the gadget "
+                f"has a K{clique} minor, which contains every induced pattern on {u_size} vertices"
+            )
+            return GadgetResult(None, None, 0, [], seed, reason)
     a_mask = (1 << side) - 1
     rejections: list[str] = []
     for attempt in range(attempts):

@@ -457,12 +457,19 @@ def constant_D(delta, p) -> Fraction | float:
 
 
 def constant_C(delta, p) -> Fraction | float:
-    """D^2 / delta^2 for the derived D; exact in rationals when D is."""
+    """D^2 / delta^2 for the derived D; exact in rationals when D is.
+
+    A float D whose square overflows gives the exact rational C instead,
+    which ``m_of`` compares in log space.
+    """
     delta = Fraction(delta)
     D = constant_D(delta, p)
     if isinstance(D, Fraction):
         return D * D / (delta * delta)
-    return _finite(D * D / float(delta * delta), f"constant_C at delta={delta}, p={p}")
+    C = D * D / float(delta * delta)
+    if not math.isfinite(C):
+        return Fraction(D) ** 2 / delta**2
+    return C
 
 
 def _finite(value: float, what: str) -> float:
@@ -487,7 +494,10 @@ def propQ_failure_bound(D, n: int) -> float:
     """3^n exp(-((D-1)^2 / 2) n log n), clamped into [0, 1]."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    log_value = n * math.log(3) - (float(D) - 1) ** 2 / 2 * n * math.log(n)
+    try:
+        log_value = n * math.log(3) - (float(D) - 1) ** 2 / 2 * n * math.log(n)
+    except OverflowError:  # (D-1)^2 beyond the float range: the bound underflows to 0
+        return 0.0
     if log_value > 0:
         return 1.0
     return math.exp(log_value)

@@ -5,7 +5,8 @@ enumeration over product spaces, subsets, or permutations. The
 exceptions are frozen copies of earlier production code, kept to pin the
 exact values the current code returns: the plain list-coloring
 backtracker, the pasting verifier's loop over every injective A-coloring,
-the induced-pattern minor sweep over every size, the four hand-written
+the induced-pattern minor sweep over every size, the random gadget
+builder's rejection loop that samples every shape, the four hand-written
 pair searches of the two pseudo-random property checkers, the minor
 search over eagerly built candidate lists, the Mader sweep over every
 induced subgraph, the choosability witness search that re-solves every
@@ -410,6 +411,52 @@ def reference_check_pasting_lower_bound(part, *, check_invariants: bool = True):
                 },
             )
     return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=checked)
+
+
+def reference_build_thm_random_gadget(H: Graph, delta, p, seed: int, attempts: int = 200):
+    """``build_thm_random_gadget`` as it stood before shapes that no attempt
+    can pass were settled by proof: it samples every shape until an attempt
+    passes or the budget runs out."""
+    from fractions import Fraction
+
+    from minorforge.constructions import GadgetResult, TwoCliquePartition
+    from minorforge.graphs import bipartite_union_complement
+    from minorforge.minors import find_induced_pattern_minor
+    from minorforge.random_models import sample_bipartite
+
+    delta = Fraction(delta)
+    if not 0 < delta < Fraction(1, 3):
+        raise ValueError("delta must lie strictly between 0 and 1/3")
+    if p is None:
+        p = delta / 2
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("p must lie in [0, 1]")
+    n = H.n
+    if n == 0:
+        raise ValueError("H must have at least one vertex")
+    side = math.floor((1 - 3 * delta) * n)
+    if side < 1:
+        raise ValueError("(1-3*delta)*n is below 1; no gadget exists at this scale")
+    u_size = math.ceil((1 - delta) * n)
+    a_mask = (1 << side) - 1
+    rejections: list[str] = []
+    for attempt in range(attempts):
+        sample = sample_bipartite(side, side, float(p), seed + attempt)
+        if Fraction(sample.max_degree()) > delta * n:
+            rejections.append(f"attempt {attempt}: max degree above delta*n")
+            continue
+        F = bipartite_union_complement(sample, a_mask, a_mask)
+        bad = find_induced_pattern_minor(F, H, u_size)
+        if bad is not None:
+            rejections.append(
+                f"attempt {attempt}: gadget contains a minor of the induced pattern on {list(bad)}"
+            )
+            continue
+        part = TwoCliquePartition(F, a_mask, a_mask << side, math.floor(delta * n))
+        part.validate()
+        return GadgetResult(F, part, attempt + 1, rejections, seed)
+    return GadgetResult(None, None, attempts, rejections, seed)
 
 
 def reference_minor_free_all_induced(host: Graph, pattern: Graph, min_size: int) -> bool:

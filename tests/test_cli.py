@@ -57,6 +57,13 @@ class TestBounds:
         assert data["D"] == "202/25"
         assert data["m_clamped"] is True
 
+    def test_constants_when_c_overflows_the_float_range(self, runner):
+        # D is a float near 5.4e297, so C = D^2/delta^2 is printed as an exact rational
+        data = invoke_json(runner, ["bounds", "constants", "--delta", "7/100", "-p", "7/200", "-n", "8"])
+        assert Fraction(data["C"]) > Fraction(10) ** 597
+        assert data["m"] == 28 and data["m_clamped"] is True
+        assert data["property_q_failure_bound"] == 0.0
+
     def test_chernoff_past_the_float_range(self, runner):
         data = invoke_json(runner, ["bounds", "chernoff", "--mu", "1e400", "--delta", "1/2"])
         assert data == {"upper_tail": 0.0, "lower_tail": 0.0, "bound": 0.0}
@@ -299,6 +306,14 @@ class TestPipelines:
         assert replayed["all_reproduced"] is True
         assert len(replayed["lines"]) == len(data["certified"])
         assert all(line["ok"] for line in replayed["lines"])
+
+    def test_random_derived_defaults_write_a_report(self, runner, tmp_path):
+        out = tmp_path / "run"
+        data = invoke_json(runner, ["pipeline", "random", "-n", "8", "--epsilon", "1/2", "--seed", "1",
+                                    "--out", str(out)])
+        assert data["verdict"] == "gadget-not-found"
+        replayed = invoke_json(runner, ["replay", "--report", str(out / "report.json")])
+        assert replayed["all_reproduced"] is True
 
     def test_random(self, runner):
         data = invoke_json(

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import asdict
 from fractions import Fraction
@@ -31,7 +32,11 @@ from minorforge.graphs import (
 )
 from minorforge.minors import contains_minor
 
-from .oracles import are_isomorphic, reference_check_pasting_lower_bound
+from .oracles import (
+    are_isomorphic,
+    reference_build_thm_random_gadget,
+    reference_check_pasting_lower_bound,
+)
 
 
 class TestKFoldPasting:
@@ -351,3 +356,64 @@ class TestRandomGadget:
     def test_delta_domain(self):
         with pytest.raises(ValueError):
             build_thm_random_gadget(complete_graph(5), Fraction(1, 2), None, seed=1)
+
+    def test_infeasible_shape_is_settled_without_sampling(self, monkeypatch):
+        # delta = 1/10 at n = 10: s = 1, side = 7, and K_10 minus a matching
+        # has a K10 minor, which contains every induced pattern on 9 vertices
+        import minorforge.constructions as constructions
+
+        def refused(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(constructions, "sample_bipartite", refused)
+        result = build_thm_random_gadget(complete_graph(10), Fraction(1, 10), Fraction(1, 20), seed=1)
+        assert not result.found
+        assert result.attempts_used == 0 and result.rejections == []
+        assert "K10 minor" in result.infeasible
+
+    def test_matches_the_sampling_builder(self):
+        # every shape the proof settles is one where sampling accepts nothing;
+        # on every other shape the builder is the sampling loop, attempt for attempt
+        settled = sampled = 0
+        for n in range(2, 11):
+            for seed in range(3):
+                rng = random.Random(f"{n}:{seed}")
+                H = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+                for k in range(1, 34):
+                    delta = Fraction(k, 100)
+                    if math.floor((1 - 3 * delta) * n) < 1:
+                        continue
+                    for p in (delta / 2, Fraction(1, 20), Fraction(1, 2)):
+                        got = _outcome(build_thm_random_gadget, H, delta, p, seed)
+                        ref = _outcome(reference_build_thm_random_gadget, H, delta, p, seed)
+                        if isinstance(got, GadgetResult) and got.infeasible:
+                            settled += 1
+                            assert not ref.found, (n, delta, p, seed)
+                        else:
+                            sampled += 1
+                            assert _shape(got) == _shape(ref), (n, delta, p, seed)
+        assert settled and sampled
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_complete_minus_perfect_matching_has_large_clique_minor(self, s):
+        # the lemma behind the s = 1 rule: K_2s minus a perfect matching has
+        # a K_floor(3s/2) minor
+        matched = {(a, a + s) for a in range(s)}
+        F = Graph.from_edges(2 * s, [(u, v) for u in range(2 * s) for v in range(u + 1, 2 * s)
+                                     if (u, v) not in matched])
+        assert contains_minor(F, complete_graph(3 * s // 2)) is not None
+
+
+def _outcome(build, H, delta, p, seed):
+    """The builder's result at 30 attempts, or the ValueError it raised (an
+    accepted gadget whose slack floor(delta*n) exceeds |A| fails validation)."""
+    try:
+        return build(H, delta, p, seed, attempts=30)
+    except ValueError as exc:
+        return exc
+
+
+def _shape(outcome):
+    if isinstance(outcome, ValueError):
+        return str(outcome)
+    return outcome.graph, outcome.partition, outcome.attempts_used

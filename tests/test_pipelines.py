@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,15 @@ from minorforge.errors import SizeGuardError
 from minorforge.graphio import to_graph6
 from minorforge.graphs import (
     Graph,
+    add_isolated_vertices,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    degeneracy,
     empty_graph,
     path_graph,
 )
+from minorforge.minors import contains_minor_contraction_oracle
 from minorforge.pipelines import (
     REPLAY_OPS,
     _delta_from_epsilon,
@@ -39,6 +43,12 @@ def small_cfg(seed=42, **kwargs):
     return ExperimentConfig(seed=seed, attempts=500, sample_count=60, **kwargs)
 
 
+# Two K5 joined by one edge: 10 vertices, vertex connectivity 1.
+TWO_JOINED_K5 = Graph.from_edges(
+    10, [(u, v) for u in range(10) for v in range(u + 1, 10) if u // 5 == v // 5] + [(4, 5)]
+)
+
+
 class TestPipelineConn:
     def test_k6_main_branch(self):
         report = pipeline_conn(complete_graph(6), Fraction(3, 10), small_cfg())
@@ -55,6 +65,20 @@ class TestPipelineConn:
         assert report.verdict == "completed"
         assert report.certified_bound == 5
         assert any(s.name == "trivial-branch" for s in report.steps)
+
+    def test_trivial_bound_above_the_list_chromatic_guard_is_certified(self):
+        # kappa = 1 < n/4: the bound n - 1 = 9 is above the guard of 8, so the
+        # line backing it is the clique sandwich, replayed without a search
+        report = pipeline_conn(TWO_JOINED_K5, Fraction(1, 4), small_cfg())
+        assert report.certified_bound == 9
+        line = next(c for c in report.certified if c["replay"]["op"] == "complete_list_chromatic_sandwich")
+        assert line["replay"]["expect"] == 9
+        assert all(r["ok"] for r in replay_report(report.to_dict()))
+
+    def test_sandwich_replay_checks_its_premise(self):
+        op = REPLAY_OPS["complete_list_chromatic_sandwich"]
+        assert op({"graph": to_graph6(complete_graph(9))}) == 9
+        assert op({"graph": to_graph6(cycle_graph(9))}) is None
 
     def test_guard(self):
         with pytest.raises(SizeGuardError):
@@ -99,6 +123,19 @@ class TestPipelineRandom:
         assert report.verdict == "gadget-not-found"
         assert [s.name for s in report.steps][:3] == ["parameters", "sample-pattern", "property-q"]
 
+    def test_infeasible_shape_is_reported_without_sampling(self):
+        # delta = 1/10 at n = 10: every kept sample is a matching, and K14 minus
+        # a matching has a K10 minor, which hosts every induced pattern on 9 vertices
+        report = pipeline_random(10, Fraction(4, 5), self.overrides(), small_cfg())
+        assert report.verdict == "gadget-not-found"
+        gadget = next(s for s in report.steps if s.name == "gadget")
+        assert gadget.verdict == "not-found"
+        assert gadget.detail["attempts"] == 0 and gadget.detail["rejections"] == 0
+        reason = gadget.detail["infeasible"]
+        assert "a matching" in reason and "K10 minor" in reason
+        assert f"{reason}; outcome reported, not raised" in report.notes
+        assert not any("attempt budget" in note for note in report.notes)
+
     def test_derived_parameters_run(self):
         # derived delta grid: epsilon=0.8 -> delta=0.11, and D explodes, so
         # the clamp note appears and the pipeline still completes a report
@@ -132,10 +169,15 @@ class TestPipelineRandom:
         assert all(r["ok"] for r in replay_report(report.to_dict()))
 
     def test_derived_defaults_overflow_cleanly(self):
-        # at n=8, epsilon=1/2 the derived C is beyond the float range; it used
-        # to surface as an OverflowError from Fraction(inf)
-        with pytest.raises(ValueError, match="overflows"):
-            pipeline_random(8, Fraction(1, 2), None, small_cfg())
+        # at n=8, epsilon=1/2 the derived C is beyond the float range; it is
+        # taken as the exact rational D^2/delta^2, and the run writes a report
+        # that replays
+        report = pipeline_random(8, Fraction(1, 2), None, small_cfg())
+        assert report.params["delta"] == Fraction(7, 100)
+        assert report.params["C"] == Fraction(report.params["D"]) ** 2 / Fraction(7, 100) ** 2
+        assert report.params["m"] == 28  # clamped at the complete graph
+        assert report.verdict == "gadget-not-found"
+        assert all(r["ok"] for r in replay_report(report.to_dict()))
 
     def test_delta_grid(self):
         assert _delta_from_epsilon(Fraction(4, 5)) == Fraction(11, 100)
@@ -182,6 +224,32 @@ class TestPipelineIsolated:
         assert not any(c["replay"]["op"] == "list_chromatic_number" for c in report.certified)
         assert "padded-pattern chromatic value exceeds the exact-solver guard; not certified" in report.notes
         assert not any("trivial-branch" in note for note in report.notes)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_counts_match_an_independent_sweep(self, order):
+        # rebuild the sample stream (one randint for the order, then one
+        # random() per pair) and decide minor-freeness by the contraction oracle
+        H = add_isolated_vertices(complete_graph(order), 3)
+        seed, count, max_n, edge_prob = 5, 60, 8, 0.5
+        rng = random.Random(seed)
+        counts = {"minor_free": 0, "degenerate_ok": 0, "coloring_ok": 0}
+        violations = []
+        for i in range(count):
+            n_i = rng.randint(1, max_n)
+            sample = Graph.from_edges(
+                n_i, [(u, v) for u in range(n_i) for v in range(u + 1, n_i) if rng.random() < edge_prob]
+            )
+            if contains_minor_contraction_oracle(sample, H):
+                continue
+            counts["minor_free"] += 1
+            d, _ = degeneracy(sample)
+            if d <= H.n - 2:
+                counts["degenerate_ok"] += 1
+                counts["coloring_ok"] += 1
+            else:
+                violations.append({"index": i, "graph": to_graph6(sample), "degeneracy": d})
+        assert counts["minor_free"] > 0
+        assert pipelines._isolated_samples(H, seed, count, max_n, edge_prob) == (counts, violations)
 
     def test_determinism_and_replay(self):
         first = pipeline_isolated(complete_graph(3), 3, small_cfg(seed=7)).to_dict()
@@ -417,6 +485,7 @@ class TestStepsAndReplayOps:
         reports = [
             pipeline_conn(complete_graph(6), Fraction(3, 10), small_cfg()),
             pipeline_conn(complete_graph(6), Fraction(9, 10), small_cfg()),
+            pipeline_conn(TWO_JOINED_K5, Fraction(1, 4), small_cfg()),
             pipeline_random(6, Fraction(4, 5), PRESET_OVERRIDES, ExperimentConfig(seed=1)),
             pipeline_isolated(complete_graph(3), 3, small_cfg(seed=7)),
             mader_step_check(complete_graph(6)),
@@ -443,11 +512,11 @@ PINNED_REPORTS = {
     ),
     "random-n8": (
         lambda: pipeline_random(8, Fraction(4, 5), README_OVERRIDES, ExperimentConfig(seed=42)),
-        "fb2b94e036d8e9f047a63f63b83965268d0e195f917395e4ecd773a1dc45817d",
+        "6dcb24c5a333e48898a41fffdb71c56a65fe4a486e6c77c30c4e2824312f5e15",
     ),
     "isolated-K3-k3": (
         lambda: pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7)),
-        "9954f61fa951cfa5744ff013ebc9c0f24f3d655d3e2eb4b29b15e52ce0eedac8",
+        "b5056da4952b7a4898d145e5cd84d5fb5250326d1ec832ede2c9ae2b209a324c",
     ),
     "conn-K6-trivial": (
         lambda: pipeline_conn(complete_graph(6), Fraction(9, 10), ExperimentConfig(seed=7)),

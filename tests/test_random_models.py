@@ -386,12 +386,17 @@ class TestBounds:
                 assert constant_C(delta, p) == D * D / (delta * delta)
 
     def test_constants_overflow_raises(self):
-        # 1/delta^2 is not an integer here, so D and C are floats
+        # 1/delta^2 is not an integer here, so D is a float, and one beyond
+        # the float range raises
         with pytest.raises(ValueError, match="constant_D.*overflows"):
             constant_D(Fraction(3, 100), Fraction(3, 200))
-        assert constant_D(Fraction(7, 100), Fraction(7, 200)) > 1e297
-        with pytest.raises(ValueError, match="constant_C.*overflows"):
-            constant_C(Fraction(7, 100), Fraction(7, 200))
+        D = constant_D(Fraction(7, 100), Fraction(7, 200))
+        assert D > 1e297
+        # D*D overflows the float range, so C is the exact rational instead
+        C = constant_C(Fraction(7, 100), Fraction(7, 200))
+        assert C == Fraction(D) ** 2 / Fraction(7, 100) ** 2
+        assert m_of(8, C) == (28, True)
+        assert propQ_failure_bound(D, 8) == 0.0
 
     def test_q_n_exponent_sign(self):
         for delta in (Fraction(1), Fraction(1, 2)):
