@@ -301,6 +301,8 @@ def build_thm_conn_gadget(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < Fraction(1, 2):
         raise ValueError("epsilon must lie strictly between 0 and 1/2")
+    if attempts < 0:
+        raise ValueError(f"attempts must be nonnegative, not {attempts}")
     n = H.n
     if n == 0:
         raise ValueError("H must have at least one vertex")
@@ -354,7 +356,8 @@ def build_thm_random_gadget(
     sweep confirms it contains no minor of any induced pattern subgraph on
     at least ceil((1-delta)*n) vertices. Checking the smallest admissible
     induced subgraphs suffices: patterns on larger vertex sets contain them
-    as subgraphs. The partition's slack is floor(delta*n).
+    as subgraphs. The partition's slack is min(floor(delta*n), side), since
+    a B-vertex has only |A| = side A-vertices to miss.
 
     Some shapes are settled without sampling. A kept sample has maximum
     degree at most s = floor(delta*n), and the gadget F is K_{2*side} minus
@@ -372,6 +375,8 @@ def build_thm_random_gadget(
     delta = Fraction(delta)
     if not 0 < delta < Fraction(1, 3):
         raise ValueError("delta must lie strictly between 0 and 1/3")
+    if attempts < 0:
+        raise ValueError(f"attempts must be nonnegative, not {attempts}")
     if p is None:
         p = delta / 2
     p = Fraction(p)
@@ -408,7 +413,7 @@ def build_thm_random_gadget(
                 f"attempt {attempt}: gadget contains a minor of the induced pattern on {list(bad)}"
             )
             continue
-        part = TwoCliquePartition(F, a_mask, a_mask << side, math.floor(delta * n))
+        part = TwoCliquePartition(F, a_mask, a_mask << side, min(s, side))
         part.validate()
         return GadgetResult(F, part, attempt + 1, rejections, seed)
     return GadgetResult(None, None, attempts, rejections, seed)

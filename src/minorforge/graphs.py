@@ -89,9 +89,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> VertexSet:
-        return self.adj[v]
-
     def vertex_mask(self) -> VertexSet:
         return (1 << self.n) - 1
 

@@ -46,12 +46,6 @@ class MinorModel:
         data = json.loads(text)
         return cls({int(h): mask_of(vs) for h, vs in data.items()})
 
-    def support(self) -> VertexSet:
-        s = 0
-        for mask in self.branch_sets.values():
-            s |= mask
-        return s
-
 
 def check_model(host: Graph, pattern: Graph, model: MinorModel) -> str | None:
     """None if the model is valid, else a reason naming the failed invariant."""

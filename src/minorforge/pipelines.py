@@ -37,11 +37,12 @@ from .graphs import (
 from .graphio import load_graph, parse_graph6, to_graph6
 from .minors import contains_minor, find_induced_pattern_minor
 from .random_models import PropertyQParams, check_property_Q, constant_C, constant_D, m_of, sample_gnm_uniform
-from .reports import ExperimentConfig, RunReport
+from .reports import ExperimentConfig, RunReport, jsonable
 
 PIPELINE_CONN_MAX_ORDER = 12
 PIPELINE_RANDOM_MAX_ORDER = 10
 PIPELINE_ISOLATED_MAX_ORDER = 9
+ISOLATED_SAMPLE_MAX_ORDER = 8
 MADER_MAX_ORDER = 9
 PASTING_CLOSURE_COPIES = 2
 
@@ -378,14 +379,13 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
     seed = _require_seed(cfg.seed)
     H = add_isolated_vertices(F, k)
     vH = H.n
-    max_n = min(cfg.sample_max_vertices, 8)
     d_lower = max(F.n - 1, 0)
     k0 = max(d_lower + 1, 9 * F.n**3)
     report = RunReport(
         pipeline="isolated",
         params={"graph": to_graph6(F), "k": k,
                 "sample_count": cfg.sample_count,
-                "sample_max_vertices": max_n,
+                "sample_max_vertices": cfg.sample_max_vertices,
                 "edge_prob": cfg.edge_prob},
         seed=seed,
         n=vH,
@@ -404,7 +404,7 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         )
     report.add_step("pad", "built", {"padded_order": vH, "k0": k0})
 
-    counts, violations = _isolated_samples(H, seed, cfg.sample_count, max_n, cfg.edge_prob)
+    counts, violations = _isolated_samples(H, seed, cfg.sample_count, cfg.sample_max_vertices, cfg.edge_prob)
     verdict = "all-degenerate" if not violations else "violations-found"
     report.add_step("sampling", verdict, {"samples": cfg.sample_count, **counts, "violations": violations})
     if violations:
@@ -415,7 +415,7 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         f"hence colorable from any lists of size {vH - 1}",
         "isolated_sampling_summary",
         {"graph": to_graph6(F), "k": k, "count": cfg.sample_count,
-         "max_n": max_n, "edge_prob": cfg.edge_prob, "seed": seed},
+         "max_n": cfg.sample_max_vertices, "edge_prob": cfg.edge_prob, "seed": seed},
         counts,
         witness={"violations": violations},
     )
@@ -443,6 +443,13 @@ def _isolated_samples(H: Graph, seed: int, count: int, max_n: int, edge_prob: fl
     sample has at most v(H)-2 neighbours coloured before it, so its list
     always has a free colour.
     """
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, not {count}")
+    if not 0 <= edge_prob <= 1:
+        raise ValueError(f"edge probability must lie in [0, 1], not {edge_prob}")
+    if max_n < 1:
+        raise ValueError(f"largest sampled order must be at least 1, not {max_n}")
+    check_size(max_n, ISOLATED_SAMPLE_MAX_ORDER, "largest sampled order for pipeline_isolated")
     vH = H.n
     rng = random.Random(seed)
     counts = {"minor_free": 0, "degenerate_ok": 0, "coloring_ok": 0}
@@ -606,8 +613,6 @@ def replay_report(report_dict: dict) -> list[dict]:
     An operation that raises one of ``OPERATION_ERRORS`` (a size guard, say)
     fails its own line with an ``error`` field; later lines still run.
     """
-    from .reports import jsonable
-
     results = []
     for entry in report_dict.get("certified", []):
         spec = entry["replay"]

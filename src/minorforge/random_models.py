@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -54,10 +54,6 @@ class PropertyReport:
     nodes_explored: int = 0
     trials: int = 0
     seed: int | None = None
-    flags: list[str] = field(default_factory=list)
-
-    def holds(self) -> bool:
-        return self.verdict == VERDICT_HOLDS
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 
-VOLATILE_KEYS = {"runtime_ms", "timestamp", "output_dir", "determinism_hash"}
+VOLATILE_KEYS = {"runtime_ms", "output_dir", "determinism_hash"}
 
 CSV_COLUMNS = [
     "pipeline",
@@ -49,10 +49,15 @@ def jsonable(obj):
     return str(obj)
 
 
+# json.dumps settings of the hashed form: sorted and compact, and a
+# non-finite float raises ValueError instead of writing the non-standard
+# ``Infinity`` or ``NaN``.
+_COMPACT_JSON = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
+
+
 def canonical_json(obj) -> str:
-    """Sorted, compact JSON; a non-finite float raises ValueError instead
-    of writing the non-standard ``Infinity`` or ``NaN``."""
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """``jsonable(obj)`` as sorted, compact JSON."""
+    return json.dumps(jsonable(obj), **_COMPACT_JSON)
 
 
 def _strip_volatile(obj):
@@ -100,8 +105,8 @@ class RunReport:
     n: int | None = None
     runtime_ms: float = 0.0
 
-    def add_step(self, name: str, verdict: str, detail: dict | None = None, runtime_ms: float = 0.0):
-        self.steps.append(StepRecord(name, verdict, detail or {}, runtime_ms))
+    def add_step(self, name: str, verdict: str, detail: dict | None = None):
+        self.steps.append(StepRecord(name, verdict, detail or {}))
 
     def certify(
         self,
@@ -123,48 +128,38 @@ class RunReport:
         self.certified.append(entry)
 
     def to_dict(self) -> dict:
-        data = {
+        """The report as JSON-safe data with its determinism hash: the one
+        source of ``report.json``, ``summary.csv`` and the hash."""
+        data = jsonable({
             "pipeline": self.pipeline,
-            "params": jsonable(self.params),
+            "params": self.params,
             "seed": self.seed,
             "environment": {"version": __version__, "seed": self.seed},
-            "steps": [jsonable(asdict(s)) for s in self.steps],
-            "certified": jsonable(self.certified),
-            "notes": list(self.notes),
+            "steps": [vars(s) for s in self.steps],
+            "certified": self.certified,
+            "notes": self.notes,
             "certified_bound": self.certified_bound,
-            "target_bound": jsonable(self.target_bound),
+            "target_bound": self.target_bound,
             "verdict": self.verdict,
             "n": self.n,
-            "runtime_ms": jsonable(self.runtime_ms),
-        }
+            "runtime_ms": self.runtime_ms,
+        })
         data["determinism_hash"] = determinism_hash(data)
         return data
 
-    def to_json(self) -> str:
-        return json.dumps(jsonable(self.to_dict()), sort_keys=True, indent=2)
-
-    def csv_row(self) -> dict:
-        return {
-            "pipeline": self.pipeline,
-            "n": self.n,
-            "params_hash": params_hash(self.params),
-            "certified_bound": self.certified_bound,
-            "target_bound": jsonable(self.target_bound),
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "runtime_ms": jsonable(self.runtime_ms),
-        }
-
 
 def determinism_hash(report_dict: dict) -> str:
-    """Hash of the report with timing and location fields excluded."""
+    """Hash of a ``to_dict()`` result or a ``report.json`` read back, with
+    timing and location fields excluded. Both are JSON-safe already, so the
+    dict is dumped as it is."""
     import hashlib
 
-    return hashlib.sha256(canonical_json(_strip_volatile(report_dict)).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(_strip_volatile(report_dict), **_COMPACT_JSON).encode()).hexdigest()
 
 
 def write_run_dir(report: RunReport, out_dir: str | Path) -> Path:
-    """Persist report JSON and CSV summary into a run directory.
+    """Persist report JSON and CSV summary, both from one ``to_dict()``, into
+    a run directory.
 
     A lockfile holding the writer's pid guards against two runs sharing the
     directory. Both files are written under temporary names and renamed into
@@ -172,6 +167,7 @@ def write_run_dir(report: RunReport, out_dir: str | Path) -> Path:
     """
     import csv
 
+    data = report.to_dict()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".forge-lock"
@@ -182,11 +178,11 @@ def write_run_dir(report: RunReport, out_dir: str | Path) -> Path:
         raise RuntimeError(f"run directory {out} is locked by another run") from None
     report_tmp, summary_tmp = out / ".report.json.tmp", out / ".summary.csv.tmp"
     try:
-        report_tmp.write_text(report.to_json() + "\n")
+        report_tmp.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
         with summary_tmp.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()
-            writer.writerow(report.csv_row())
+            writer.writerow({**data, "params_hash": params_hash(data["params"])})
         os.replace(report_tmp, out / "report.json")
         os.replace(summary_tmp, out / "summary.csv")
     finally:

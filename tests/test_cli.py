@@ -315,6 +315,23 @@ class TestPipelines:
         replayed = invoke_json(runner, ["replay", "--report", str(out / "report.json")])
         assert replayed["all_reproduced"] is True
 
+    def test_out_of_range_run_settings_are_errors(self, runner):
+        # each was accepted: attempts -3 went into the report, -4 samples at
+        # edge probability 1.7 certified "all 0 ... samples", order 20 was
+        # clamped to 8, and order 0 failed inside randrange
+        isolated = ["isolated", "--graph", "Bw", "-k", "3", "--seed", "7"]
+        for args, message in (
+            (["conn", "--graph", to_graph6(complete_graph(6)), "--epsilon", "3/10", "--seed", "42",
+              "--attempts", "-3"], "attempts must be nonnegative"),
+            ([*isolated, "--samples", "-4"], "sample count must be nonnegative"),
+            ([*isolated, "--edge-prob", "1.7"], "edge probability must lie in [0, 1]"),
+            ([*isolated, "--max-n", "20"], "exceeding the size guard of 8"),
+            ([*isolated, "--max-n", "0"], "largest sampled order must be at least 1"),
+        ):
+            result = runner.invoke(main, ["pipeline", *args])
+            assert result.exit_code == 1, args
+            assert message in result.output, (args, result.output)
+
     def test_random(self, runner):
         data = invoke_json(
             runner,
@@ -323,6 +340,31 @@ class TestPipelines:
         )
         assert data["verdict"] == "gadget-not-found"
         assert any("clamped" in note for note in data["notes"])
+
+
+# The files the README's CLI examples name.
+README_FIXTURES = {
+    "petersen.g6": to_graph6(petersen_graph()),
+    "k5.g6": to_graph6(complete_graph(5)),
+    "H.g6": to_graph6(complete_graph(4)),
+    "bip.json": json.dumps({"a_size": 4, "b_size": 4, "edges": []}),
+    "F.g6": to_graph6(complete_graph(5)),  # fits --part-a "0,1" --part-b "2,3,4" -d 1
+    "k6.g6": to_graph6(complete_graph(6)),
+    "k3.g6": to_graph6(complete_graph(3)),
+}
+
+
+def test_readme_cli_examples_run(runner, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("forge ")]
+    assert len(lines) == 15
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        for name, text in README_FIXTURES.items():
+            Path(name).write_text(text + "\n")
+        for line in lines:  # in order: the replay reads the conn run's report
+            result = runner.invoke(main, shlex.split(line)[1:])
+            assert result.exit_code == 0, (line, result.output)
 
 
 def run_child(*argv: str) -> subprocess.CompletedProcess:

@@ -357,6 +357,13 @@ class TestRandomGadget:
         with pytest.raises(ValueError):
             build_thm_random_gadget(complete_graph(5), Fraction(1, 2), None, seed=1)
 
+    def test_slack_is_capped_at_the_part_size(self):
+        # delta = 26/100 at n = 8: side = 1 but floor(delta*n) = 2; a B-vertex
+        # misses at most |A| = 1 A-vertex (a slack of 2 failed validation)
+        result = build_thm_random_gadget(complete_graph(8), Fraction(26, 100), None, seed=1)
+        assert result.found and result.partition.slack == 1
+        result.partition.validate()
+
     def test_infeasible_shape_is_settled_without_sampling(self, monkeypatch):
         # delta = 1/10 at n = 10: s = 1, side = 7, and K_10 minus a matching
         # has a K10 minor, which contains every induced pattern on 9 vertices
@@ -373,8 +380,10 @@ class TestRandomGadget:
 
     def test_matches_the_sampling_builder(self):
         # every shape the proof settles is one where sampling accepts nothing;
-        # on every other shape the builder is the sampling loop, attempt for attempt
-        settled = sampled = 0
+        # on every other shape the builder is the sampling loop, attempt for
+        # attempt, except that where the reference gave an accepted gadget the
+        # slack floor(delta*n) > |A| and failed validation, the slack is |A|
+        settled = sampled = capped = 0
         for n in range(2, 11):
             for seed in range(3):
                 rng = random.Random(f"{n}:{seed}")
@@ -389,10 +398,15 @@ class TestRandomGadget:
                         if isinstance(got, GadgetResult) and got.infeasible:
                             settled += 1
                             assert not ref.found, (n, delta, p, seed)
+                        elif isinstance(ref, ValueError) and "slack" in str(ref):
+                            capped += 1
+                            side = math.floor((1 - 3 * delta) * n)
+                            assert got.partition.slack == side < math.floor(delta * n), (n, delta, p, seed)
+                            got.partition.validate()
                         else:
                             sampled += 1
                             assert _shape(got) == _shape(ref), (n, delta, p, seed)
-        assert settled and sampled
+        assert settled and sampled and capped
 
     @pytest.mark.parametrize("s", range(2, 7))
     def test_complete_minus_perfect_matching_has_large_clique_minor(self, s):
@@ -405,8 +419,9 @@ class TestRandomGadget:
 
 
 def _outcome(build, H, delta, p, seed):
-    """The builder's result at 30 attempts, or the ValueError it raised (an
-    accepted gadget whose slack floor(delta*n) exceeds |A| fails validation)."""
+    """The builder's result at 30 attempts, or the ValueError it raised (in
+    the reference, an accepted gadget whose slack floor(delta*n) exceeds |A|
+    fails validation)."""
     try:
         return build(H, delta, p, seed, attempts=30)
     except ValueError as exc:

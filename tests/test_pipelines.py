@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from minorforge import coloring, pipelines
+from minorforge import coloring, pipelines, reports
 from minorforge.errors import SizeGuardError
 from minorforge.graphio import to_graph6
 from minorforge.graphs import (
@@ -168,6 +169,15 @@ class TestPipelineRandom:
         assert report.certified_bound == 5  # |A|+|B| - floor(delta*n) = 3+3-1
         assert all(r["ok"] for r in replay_report(report.to_dict()))
 
+    def test_slack_is_capped_at_the_part_size(self):
+        # side = floor(n/10) = 1 but floor(delta*n) = 3: the slack used to be 3,
+        # and the run failed with "slack must lie between 0 and |A|"
+        overrides = {"delta": Fraction(3, 10), "p": Fraction(1, 20), "D": Fraction(2)}
+        report = pipeline_random(10, Fraction(4, 5), overrides, ExperimentConfig(seed=1))
+        assert report.verdict == "completed"
+        assert report.certified_bound == 1  # |A| + |B| - slack = 1 + 1 - 1
+        assert all(r["ok"] for r in replay_report(report.to_dict()))
+
     def test_derived_defaults_overflow_cleanly(self):
         # at n=8, epsilon=1/2 the derived C is beyond the float range; it is
         # taken as the exact rational D^2/delta^2, and the run writes a report
@@ -224,6 +234,28 @@ class TestPipelineIsolated:
         assert not any(c["replay"]["op"] == "list_chromatic_number" for c in report.certified)
         assert "padded-pattern chromatic value exceeds the exact-solver guard; not certified" in report.notes
         assert not any("trivial-branch" in note for note in report.notes)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"sample_count": -4}, "sample count must be nonnegative"),
+        ({"edge_prob": 1.7}, "edge probability must lie in"),
+        ({"edge_prob": -0.1}, "edge probability must lie in"),
+        ({"sample_max_vertices": 0}, "largest sampled order must be at least 1"),
+    ])
+    def test_out_of_range_sampling_settings_are_refused(self, setting, message):
+        # -4 samples certified "all 0 ... samples", an edge probability of 1.7
+        # sampled complete graphs, and order 0 failed inside randrange
+        with pytest.raises(ValueError, match=message):
+            pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7, **setting))
+
+    def test_sample_order_is_guarded_not_clamped(self, monkeypatch):
+        # a largest sampled order above 8 was silently taken as 8
+        with pytest.raises(SizeGuardError, match="largest sampled order"):
+            pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7, sample_max_vertices=20))
+        monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
+        report = pipeline_isolated(complete_graph(3), 3,
+                                   ExperimentConfig(seed=7, sample_count=10, sample_max_vertices=16))
+        assert report.params["sample_max_vertices"] == 16
+        assert all(r["ok"] for r in replay_report(report.to_dict()))
 
     @pytest.mark.parametrize("order", [3, 4])
     def test_counts_match_an_independent_sweep(self, order):
@@ -357,22 +389,39 @@ class TestReportsAndConfig:
         assert csv_text[1].startswith("mader,4,")
         assert not (out / ".forge-lock").exists()
 
-    def test_failed_write_leaves_no_run_files(self, tmp_path):
-        # a csv_row that raised used to leave report.json and an empty
+    def test_failed_write_leaves_no_run_files(self, tmp_path, monkeypatch):
+        # a summary row that raised used to leave report.json and an empty
         # summary.csv behind
         report = mader_step_check(complete_graph(4))
         out = tmp_path / "run"
         lock_text = []
 
-        def failing_row():
+        def failing_hash(params):
             lock_text.append((out / ".forge-lock").read_text())
             raise RuntimeError("row failed")
 
-        report.csv_row = failing_row
+        monkeypatch.setattr(reports, "params_hash", failing_hash)
         with pytest.raises(RuntimeError, match="row failed"):
             write_run_dir(report, out)
         assert lock_text == [f"{os.getpid()}\n"]
         assert list(out.iterdir()) == []
+
+    def test_non_finite_report_is_refused_and_writes_nothing(self, tmp_path):
+        report = mader_step_check(complete_graph(4))
+        report.target_bound = float("inf")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            report.to_dict()
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_run_dir(report, out)
+        assert not out.exists()
+
+    def test_negative_attempts_are_refused(self):
+        # -3 was written into the gadget step as its attempt count
+        with pytest.raises(ValueError, match="attempts must be nonnegative"):
+            pipeline_conn(complete_graph(6), Fraction(3, 10), ExperimentConfig(seed=42, attempts=-3))
+        with pytest.raises(ValueError, match="attempts must be nonnegative"):
+            pipeline_random(6, Fraction(4, 5), PRESET_OVERRIDES, ExperimentConfig(seed=1, attempts=-3))
 
     def test_lockfile_blocks_concurrent_use(self, tmp_path):
         out = tmp_path / "run"
@@ -539,3 +588,33 @@ def test_pinned_determinism_hash(name):
     data = run().to_dict()
     assert data["determinism_hash"] == expected
     assert all(r["ok"] for r in replay_report(data))
+
+
+# sha256 of the report.json and summary.csv bytes of each PINNED_REPORTS run
+# with runtime_ms = 0.0, taken while the two files were still serialized
+# along separate paths: writing both from one to_dict() changed no byte.
+PINNED_RUN_FILES = {
+    "conn-K10": ("10a53673d5704c114d56899ec79d7f0cedb51d0d3f3845c476dd5788a7d156ed",
+                 "314a5725c86f3f3749bbc0768eebe0a37a7dd765bcdc76693484ef6c926b1257"),
+    "conn-K6-trivial": ("f138125f74ed87f061ac5c94046f861a80628c38fe9e6f379fe6d0248fc73390",
+                        "23a701704efcf7a1539a5e44049dd001d989d62f8f64cf4c10de1eb3c3ff324f"),
+    "conn-K8": ("a38181552202fc85715b287fe665cb8cd50b4bd86c3f180d858857d79fdee171",
+                "f47ea0fec20782fa23682e6f61bc5450310f33375e7dacc29d642ddc376fa082"),
+    "isolated-K3-k3": ("fcc3b1cb1bc0a4e00cb8021b3a57965330419e2879cdf0ecc7c04839ae0f052c",
+                       "cba3e963ede9d6bc5f8cab58cc09fcd9ce12449c9f6d7ef62a2af1edd7cc71dc"),
+    "mader-K6": ("9bf21de22151d01cf7051de3870d2825f7ee119f344675970f63f6ea048be5c6",
+                 "66ea06da7bcee117d821f3f0fce01e6ce8d26d9cdc63d22999fba51825875033"),
+    "random-n6-preset": ("71cea8018c82071a43668f017595c5d814f098ca3f80943b20d90ae5dfb7e121",
+                         "77c662ecf39d5afbac096363b489624c47c4c12fd0f3cbe275b4a4bea0bf1136"),
+    "random-n8": ("e6b32f18342ee1203818fd7513e4914d10db7ca5bddff93ceeac5791b7a0c07a",
+                  "761f82fb2e0f001a0d9ad8dca82d44cc0385df6c853f3401147f0e81c2d7dd15"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_run_files(name, tmp_path):
+    report = PINNED_REPORTS[name][0]()
+    report.runtime_ms = 0.0
+    out = write_run_dir(report, tmp_path / "run")
+    files = ("report.json", "summary.csv")
+    assert tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files) == PINNED_RUN_FILES[name]
