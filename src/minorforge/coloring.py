@@ -444,10 +444,11 @@ def find_uncolorable_assignment(
     giving every outside vertex k fresh private colors. Assignments use at
     most k*v(G) colors overall and are enumerated up to color renaming.
 
-    With ``use_shortcuts`` a subgraph is skipped when its degeneracy is
-    below k (greedy coloring always succeeds there) or when the polynomial
-    certificate of ``_alon_tarsi_certifies`` proves it k-choosable; both
-    are sound, so the result is exact either way.
+    With ``use_shortcuts`` a subgraph is skipped when the polynomial
+    certificate of ``_alon_tarsi_certifies`` proves it k-choosable; that is
+    sound, so the result is exact either way. No degeneracy test is needed:
+    every vertex of a kept subgraph has at least k neighbors in it, so its
+    degeneracy is at least k and greedy coloring from k colors settles none.
 
     The support search keeps families of 2**v(G) bits, and one chromatic
     layer combines up to 2**v(G) of them, so the order is held to the guard
@@ -476,9 +477,7 @@ def find_uncolorable_assignment(
             if rest or not is_connected_subset(G, T):
                 continue
             sub = induced_subgraph(G, T)
-            if use_shortcuts and (
-                degeneracy(sub)[0] + 1 <= k or _alon_tarsi_certifies(sub, k)
-            ):
+            if use_shortcuts and _alon_tarsi_certifies(sub, k):
                 continue
             supports = _capped_uncolorable_supports(sub, k)
             if supports is None:

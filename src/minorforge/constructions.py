@@ -5,7 +5,7 @@ rejection-sampled almost-complete minor-free gadgets."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coloring import ListAssignment, is_l_colorable
@@ -270,14 +270,14 @@ class GadgetResult:
     """Outcome of rejection sampling for a minor-free two-clique gadget.
 
     ``infeasible`` names the proof that no attempt could pass when the
-    builder settled the shape without sampling.
+    builder settled the shape without sampling. Every attempt either is
+    rejected or returns the gadget, so ``attempts_used - found`` attempts
+    were rejected.
     """
 
     graph: Graph | None
     partition: TwoCliquePartition | None
     attempts_used: int
-    rejections: list[str] = field(default_factory=list)
-    seed: int | None = None
     infeasible: str | None = None
 
     @property
@@ -324,21 +324,18 @@ def build_thm_conn_gadget(
     # kept A-vertices first, so in F A's mask is a_mask and B's is b_low << a_count
     a_mask = (1 << a_count) - 1
     b_low = (1 << b_count) - 1
-    rejections: list[str] = []
     for attempt in range(attempts):
         sample = sample_bipartite(n, n, float(p), seed + attempt)
         if Fraction(sample.max_degree()) > epsilon * n:
-            rejections.append(f"attempt {attempt}: max degree above epsilon*n")
             continue
         F = bipartite_union_complement(sample, a_mask, b_low)
         if contains_minor(F, H) is not None:
-            rejections.append(f"attempt {attempt}: complement gadget has an H-minor")
             continue
         part = TwoCliquePartition(F, a_mask, b_low << a_count, 0)
         part = replace(part, slack=part.realized_slack())
         part.validate()
-        return GadgetResult(F, part, attempt + 1, rejections, seed)
-    return GadgetResult(None, None, attempts, rejections, seed)
+        return GadgetResult(F, part, attempt + 1)
+    return GadgetResult(None, None, attempts)
 
 
 def build_thm_random_gadget(
@@ -398,22 +395,16 @@ def build_thm_random_gadget(
                 f"every sample of maximum degree at most {s} is {kept}, so the gadget "
                 f"has a K{clique} minor, which contains every induced pattern on {u_size} vertices"
             )
-            return GadgetResult(None, None, 0, [], seed, reason)
+            return GadgetResult(None, None, 0, reason)
     a_mask = (1 << side) - 1
-    rejections: list[str] = []
     for attempt in range(attempts):
         sample = sample_bipartite(side, side, float(p), seed + attempt)
         if Fraction(sample.max_degree()) > delta * n:
-            rejections.append(f"attempt {attempt}: max degree above delta*n")
             continue
         F = bipartite_union_complement(sample, a_mask, a_mask)
-        bad = find_induced_pattern_minor(F, H, u_size)
-        if bad is not None:
-            rejections.append(
-                f"attempt {attempt}: gadget contains a minor of the induced pattern on {list(bad)}"
-            )
+        if find_induced_pattern_minor(F, H, u_size) is not None:
             continue
         part = TwoCliquePartition(F, a_mask, a_mask << side, min(s, side))
         part.validate()
-        return GadgetResult(F, part, attempt + 1, rejections, seed)
-    return GadgetResult(None, None, attempts, rejections, seed)
+        return GadgetResult(F, part, attempt + 1)
+    return GadgetResult(None, None, attempts)

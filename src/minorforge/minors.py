@@ -208,20 +208,24 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
     """A valid minor model of the pattern in the host, or None.
 
     The returned model is always the first one ``_search_model`` finds in
-    the original host. When the pattern has minimum degree at least 3, three
-    exact negative filters run first, in this order, and each answers None
-    only where that search would:
+    the original host. When the pattern has minimum degree at least 3,
+    ``_series_parallel_reduction`` first cuts the host down (delete vertices
+    of degree at most 1, suppress vertices of degree 2, until none is left),
+    and two exact negative filters run on the reduced host, in this order;
+    each answers None only where that search would:
 
-    1. ``_series_parallel_reduction`` cuts the host down (delete vertices of
-       degree at most 1, suppress vertices of degree 2, until none is left).
-       If fewer vertices than the pattern's are left, the answer is None.
-    2. If the reduced host's min-degree elimination width is below
+    1. If the reduced host's min-degree elimination width is below
        lb = degeneracy(pattern), the answer is None.
-    3. If the reduction removed a vertex and the reduced host has no model,
+    2. If the reduction removed a vertex and the reduced host has no model,
        the answer is None (a host that loses no vertex is searched once).
 
-    Filter 1 and 3 are exact because the host has a model iff the reduced
-    host has one:
+    A reduced host with fewer vertices than the pattern needs no filter of
+    its own: if the reduction removed a vertex, filter 2's search answers
+    None at its first check (``host.n < pattern.n``), and if it removed
+    none, the search of the host itself does.
+
+    Filter 2 is exact because the host has a model iff the reduced host has
+    one:
 
     - The reduced host is a minor of the host, so a model in it gives one in
       the host.
@@ -236,7 +240,7 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
       va into a: the branch set stays connected, and an edge from v to its
       other neighbour b becomes the edge ab that suppression adds.
 
-    Filter 2 is exact because treewidth does not grow under taking minors,
+    Filter 1 is exact because treewidth does not grow under taking minors,
     and every graph has treewidth at least its degeneracy (a graph of
     treewidth k has a vertex of degree at most k, and so does each of its
     subgraphs). A host with an elimination order of width w < lb has
@@ -268,8 +272,6 @@ def contains_minor(host: Graph, pattern: Graph) -> MinorModel | None:
     """
     if min_degree(pattern) >= 3:
         reduced = _series_parallel_reduction(host)
-        if reduced.n < pattern.n:
-            return None
         lb = _pattern_plan(pattern).lb
         n = reduced.n
         if reduced.edge_count() <= (lb - 1) * n - (lb - 1) * lb // 2 and (

@@ -68,7 +68,7 @@ def _require_seed(seed) -> int:
 
 def _gadget_found(report: RunReport, result) -> bool:
     """Record the gadget step; a gadget not found ends the run with that verdict."""
-    detail = {"attempts": result.attempts_used, "rejections": len(result.rejections)}
+    detail = {"attempts": result.attempts_used, "rejections": result.attempts_used - result.found}
     if result.infeasible:
         detail["infeasible"] = result.infeasible
     report.add_step("gadget", "found" if result.found else "not-found", detail)
@@ -102,43 +102,24 @@ def _certify_pasting_bound(report: RunReport, part: TwoCliquePartition, g6F: str
     )
 
 
-def _certify_complete_list_chromatic(report: RunReport, m: int, subject: str) -> None:
+def _certify_complete_list_chromatic(report: RunReport, m: int) -> None:
     """Certify that the complete graph on m vertices has list chromatic number m.
 
-    Only up to the exact solver's guard, so that a replay, which re-derives
-    the value by exhaustive search, can always check the line; above it a
-    note names the caller's ``subject`` instead.
+    chi(K_m) = m colours are needed even from equal lists, and greedy
+    colouring along a degeneracy order succeeds from any lists of
+    degeneracy + 1 = m colours, so chi_l(K_m) = m without a search. Up to
+    the exact solver's guard the line is replayed by exhaustive search.
+    Above it the replay checks the premises of that sandwich instead: the
+    stored graph is complete on m vertices, so chi = m and its degeneracy
+    is m - 1.
     """
+    args = {"graph": to_graph6(complete_graph(m))}
+    claim = f"list chromatic number of the complete graph on {m} vertices is {m}"
     if m > guard_limit(LIST_CHROMATIC_MAX_ORDER):
-        report.notes.append(f"{subject} chromatic value exceeds the exact-solver guard; not certified")
-        return
-    # chi(K_m) = m colours are needed even from equal lists, and greedy
-    # colouring along a degeneracy order succeeds from any lists of
-    # degeneracy + 1 = m colours, so chi_l(K_m) = m without a search.
-    report.certify(
-        f"list chromatic number of the complete graph on {m} vertices is {m}",
-        "list_chromatic_number",
-        {"graph": to_graph6(complete_graph(m))},
-        m,
-        exhaustive=True,
-    )
-
-
-def _certify_complete_sandwich(report: RunReport, m: int) -> None:
-    """Certify chi_l(K_m) = m above the exact solver's guard.
-
-    The replay checks the premises of the sandwich chi <= chi_l <=
-    degeneracy + 1 instead of searching: the stored graph is complete on m
-    vertices, so chi = m and its degeneracy is m - 1.
-    """
-    report.certify(
-        f"list chromatic number of the complete graph on {m} vertices is {m}, "
-        f"by chi = {m} <= chi_l <= degeneracy + 1 = {m}",
-        "complete_list_chromatic_sandwich",
-        {"graph": to_graph6(complete_graph(m))},
-        m,
-        exhaustive=True,
-    )
+        claim += f", by chi = {m} <= chi_l <= degeneracy + 1 = {m}"
+        report.certify(claim, "complete_list_chromatic_sandwich", args, m, exhaustive=True)
+    else:
+        report.certify(claim, "list_chromatic_number", args, m, exhaustive=True)
 
 
 @_timed
@@ -190,10 +171,7 @@ def pipeline_conn(H: Graph, epsilon: Fraction, cfg: ExperimentConfig | None = No
             True,
             exhaustive=True,
         )
-        if n - 1 > guard_limit(LIST_CHROMATIC_MAX_ORDER):
-            _certify_complete_sandwich(report, n - 1)
-        else:
-            _certify_complete_list_chromatic(report, n - 1, "trivial-branch")
+        _certify_complete_list_chromatic(report, n - 1)
         return report
 
     if epsilon >= Fraction(1, 2):
@@ -420,7 +398,7 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         witness={"violations": violations},
     )
     report.certified_bound = vH - 1
-    _certify_complete_list_chromatic(report, vH - 1, "padded-pattern")
+    _certify_complete_list_chromatic(report, vH - 1)
     report.certify(
         f"the complete graph on {vH - 1} vertices has no padded-pattern minor",
         "minor_free",
@@ -629,20 +607,28 @@ def replay_report(report_dict: dict) -> list[dict]:
     return results
 
 
-# The inputs each pipeline reads from its config: ``graph`` or a ``params`` key.
+# The inputs each pipeline reads from its config: first those it needs,
+# ``graph`` or a ``params`` key, then the ``params`` keys it reads only when
+# given. Any other ``params`` key is an error, so that a misspelt one is not
+# dropped in silence.
 PIPELINE_INPUTS = {
-    "conn": ("graph", "epsilon"),
-    "random": ("n", "epsilon"),
-    "isolated": ("graph", "k"),
-    "mader": ("graph",),
+    "conn": (("graph", "epsilon"), ()),
+    "random": (("n", "epsilon"), ("delta", "p", "D", "C")),
+    "isolated": (("graph", "k"), ()),
+    "mader": (("graph",), ()),
 }
 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
-    """Dispatch a configured pipeline run; a missing input raises ValueError."""
+    """Dispatch a configured pipeline run; a missing input or a ``params``
+    key the pipeline does not read raises ValueError naming it."""
     if cfg.pipeline not in PIPELINE_INPUTS:
         raise ValueError(f"unknown pipeline {cfg.pipeline!r}")
-    missing = [name for name in PIPELINE_INPUTS[cfg.pipeline]
+    needed, optional = PIPELINE_INPUTS[cfg.pipeline]
+    unknown = sorted(set(cfg.params) - (set(needed + optional) - {"graph"}))
+    if unknown:
+        raise ValueError(f"pipeline {cfg.pipeline} does not read params {', '.join(unknown)}")
+    missing = [name for name in needed
                if (cfg.graph is None if name == "graph" else name not in cfg.params)]
     if missing:
         raise ValueError(f"pipeline {cfg.pipeline} needs {' and '.join(missing)}")
@@ -652,7 +638,8 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     if cfg.pipeline == "random":
         n = int(params.pop("n"))
         epsilon = Fraction(str(params.pop("epsilon")))
-        overrides = {k: Fraction(str(v)) for k, v in params.items() if k in {"delta", "p", "D", "C"}}
+        # only the optional keys are left
+        overrides = {k: Fraction(str(v)) for k, v in params.items()}
         return pipeline_random(n, epsilon, overrides, cfg)
     if cfg.pipeline == "isolated":
         return pipeline_isolated(load_graph(cfg.graph), int(params["k"]), cfg)

@@ -197,8 +197,9 @@ def load_report_dict(path: str | Path) -> dict:
 
 
 # INI values arrive as strings; the annotations of the numeric fields name
-# the type to convert them to.
+# the type to convert them to, and the values a field may hold once read.
 _INI_NUMBERS = {"int": int, "int | None": int, "float": float}
+_NUMBER_VALUES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float)}
 
 
 @dataclass
@@ -219,9 +220,12 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         """Load a JSON object, or an INI file whose ``[run]`` section holds the
         fields and whose ``[params]`` section holds ``params``. A key that is
-        not a field raises ValueError naming it."""
+        not a field, or a numeric field holding anything but a number of its
+        type (a JSON integer for the integer fields, where ``true`` does not
+        count), raises ValueError naming it."""
         text = Path(path).read_text()
-        if text.lstrip().startswith("{"):
+        is_json = text.lstrip().startswith("{")
+        if is_json:
             data = json.loads(text)
         else:
             import configparser
@@ -238,9 +242,15 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys in {path}: {', '.join(unknown)}")
         for key, value in data.items():
-            if isinstance(value, str) and known[key] in _INI_NUMBERS:
+            kind = known[key]
+            if kind not in _INI_NUMBERS:
+                continue
+            if not is_json:
                 try:
-                    data[key] = _INI_NUMBERS[known[key]](value)
+                    data[key] = value = _INI_NUMBERS[kind](value)
                 except ValueError:
                     raise ValueError(f"config key {key} in {path} is not a number: {value!r}") from None
+            if isinstance(value, bool) or not isinstance(value, _NUMBER_VALUES[kind]):
+                expected = "a number" if kind == "float" else "an integer"
+                raise ValueError(f"config key {key} in {path} must be {expected}, not {value!r}")
         return cls(**data)

@@ -286,6 +286,25 @@ class TestPipelines:
         assert summary["replay"]["args"]["max_n"] == 6
         assert summary["replay"]["args"]["edge_prob"] == 0.25
 
+    def test_config_params_the_pipeline_does_not_read_are_errors(self, runner, tmp_path):
+        cfg = tmp_path / "random.json"
+        cfg.write_text(json.dumps({
+            "pipeline": "random", "seed": 1,
+            "params": {"n": 6, "epsilon": "4/5", "delat": "1/6", "p": "1/6", "D": "3/2"},
+        }))
+        result = runner.invoke(main, ["pipeline", "random", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert "delat" in result.output
+
+    def test_config_numbers_of_the_wrong_type_are_errors(self, runner, tmp_path):
+        # a float attempt count used to end in a TypeError traceback
+        cfg = tmp_path / "conn.json"
+        cfg.write_text(json.dumps({"seed": 1, "attempts": 2.5}))
+        result = runner.invoke(main, ["pipeline", "conn", "--graph", "E~~w", "--epsilon", "1/4",
+                                      "--config", str(cfg)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "config key attempts" in result.output
+
     def test_isolated(self, runner):
         data = invoke_json(
             runner,

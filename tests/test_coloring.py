@@ -353,6 +353,28 @@ class TestShortcutsAgainstExhaustiveSearch:
             assert not reference_alon_tarsi_certifies(K, n - 1)
 
 
+class TestKeptSubgraphsAreNotDegenerate:
+    def test_every_subgraph_the_sweep_searches_has_degeneracy_at_least_k(self, monkeypatch):
+        """The sweep keeps a subgraph only if each of its vertices has at
+        least k neighbors in it, so its degeneracy is at least k and a
+        degeneracy shortcut inside the sweep could never fire."""
+        searched = []
+        real = coloring._capped_uncolorable_supports
+
+        def spy(sub, k):
+            searched.append((sub, k))
+            return real(sub, k)
+
+        monkeypatch.setattr(coloring, "_capped_uncolorable_supports", spy)
+        for G in atlas_graphs(range(1, 7)):
+            for k in range(1, 5):
+                for use_shortcuts in (True, False):
+                    find_uncolorable_assignment(G, k, use_shortcuts=use_shortcuts)
+        assert len(searched) > 100
+        for sub, k in searched:
+            assert degeneracy(sub)[0] >= k, (sub, k)
+
+
 class TestColorableFamily:
     """Bit X of the family is set iff X is colorable from the current lists,
     and the chromatic layers give chi of every induced subgraph."""

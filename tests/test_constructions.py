@@ -375,7 +375,7 @@ class TestRandomGadget:
         monkeypatch.setattr(constructions, "sample_bipartite", refused)
         result = build_thm_random_gadget(complete_graph(10), Fraction(1, 10), Fraction(1, 20), seed=1)
         assert not result.found
-        assert result.attempts_used == 0 and result.rejections == []
+        assert result.attempts_used == 0
         assert "K10 minor" in result.infeasible
 
     def test_matches_the_sampling_builder(self):

@@ -433,6 +433,12 @@ class TestSeriesParallelFilter:
                  for _ in range(40)]
         hosts += [random_graph(rng, rng.randint(5, 9), rng.choice([0.3, 0.45, 0.6]))
                   for _ in range(60)]
+        # hosts that reduce below the pattern's order: a cycle and a tree
+        # reduce to nothing, K4 with five subdivided edges reduces to K4, and
+        # K4 itself loses no vertex
+        subdivided_k4 = Graph.from_edges(9, [(0, 4), (4, 1), (0, 5), (5, 2), (0, 6), (6, 3),
+                                             (1, 7), (7, 2), (1, 8), (8, 3), (2, 3)])
+        hosts += [cycle_graph(9), path_graph(9), subdivided_k4, complete_graph(4)]
         found = 0
         for host in hosts:
             model = contains_minor(host, pattern)

@@ -224,16 +224,17 @@ class TestPipelineIsolated:
         with pytest.raises(SizeGuardError):
             pipeline_isolated(complete_graph(3), 7, small_cfg())
 
-    def test_note_above_the_list_chromatic_guard(self, monkeypatch):
-        # v(H) - 1 = 17 is above the scaled guard of 16: the line is not
-        # certified, and the note names this pipeline's value, not conn's
-        # trivial branch
+    def test_sandwich_line_above_the_list_chromatic_guard(self, monkeypatch):
+        # v(H) - 1 = 17 is above the scaled guard of 16: the value used to be
+        # left uncertified with a note; now the sandwich line certifies it
         monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
         report = pipeline_isolated(empty_graph(1), 17, ExperimentConfig(seed=1, sample_count=20))
         assert report.certified_bound == 17
         assert not any(c["replay"]["op"] == "list_chromatic_number" for c in report.certified)
-        assert "padded-pattern chromatic value exceeds the exact-solver guard; not certified" in report.notes
-        assert not any("trivial-branch" in note for note in report.notes)
+        sandwich = [c for c in report.certified if c["replay"]["op"] == "complete_list_chromatic_sandwich"]
+        assert len(sandwich) == 1 and sandwich[0]["replay"]["expect"] == 17
+        assert all(r["ok"] for r in replay_report(report.to_dict()))
+        assert not any("not certified" in note for note in report.notes)
 
     @pytest.mark.parametrize("setting, message", [
         ({"sample_count": -4}, "sample count must be nonnegative"),
@@ -438,6 +439,9 @@ class TestReportsAndConfig:
         jpath.write_text(json.dumps({"pipeline": "mader", "graph": "Bw", "seed": 3}))
         cfg = ExperimentConfig.from_file(jpath)
         assert (cfg.pipeline, cfg.graph, cfg.seed) == ("mader", "Bw", 3)
+        jpath.write_text(json.dumps({"seed": None, "attempts": 3, "edge_prob": 1}))
+        cfg = ExperimentConfig.from_file(jpath)
+        assert (cfg.seed, cfg.attempts, cfg.edge_prob) == (None, 3, 1)
         ipath = tmp_path / "cfg.ini"
         ipath.write_text("[run]\npipeline = conn\ngraph = Bw\nseed = 11\n\n[params]\nepsilon = 3/10\n")
         cfg = ExperimentConfig.from_file(ipath)
@@ -457,6 +461,18 @@ class TestReportsAndConfig:
         ipath.write_text("[run]\nseed = abc\n")
         with pytest.raises(ValueError, match="seed"):
             ExperimentConfig.from_file(ipath)
+
+    @pytest.mark.parametrize("key, value", [
+        ("attempts", 2.5),  # failed later with TypeError inside range()
+        ("seed", 1.9),  # recorded as 1.9 while the sampler used 1
+        ("sample_count", True),  # taken as 1 sample
+        ("edge_prob", "0.5"),  # a string where JSON has numbers
+    ])
+    def test_json_config_numbers_are_type_checked(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"pipeline": "isolated", "seed": 1, key: value}))
+        with pytest.raises(ValueError, match=f"config key {key} "):
+            ExperimentConfig.from_file(path)
 
     def test_replay_records_an_error_per_line(self):
         # a line whose op raises (here a size guard, as under a smaller
@@ -492,6 +508,17 @@ class TestReportsAndConfig:
             run_pipeline(ExperimentConfig(pipeline="random", seed=1))
         with pytest.raises(ValueError, match="needs graph and k"):
             run_pipeline(ExperimentConfig(pipeline="isolated", seed=1))
+
+    def test_run_pipeline_names_params_it_does_not_read(self):
+        # the misspelt delta was dropped, so the run took the derived 11/100
+        params = {"n": 6, "epsilon": "4/5", "delat": "1/6", "p": "1/6", "D": "3/2"}
+        with pytest.raises(ValueError, match="does not read params delat"):
+            run_pipeline(ExperimentConfig(pipeline="random", seed=1, params=params))
+        with pytest.raises(ValueError, match="does not read params delta, graph"):
+            run_pipeline(ExperimentConfig(pipeline="conn", graph="Bw", seed=1,
+                                          params={"epsilon": "1/4", "delta": "1/6", "graph": "Bw"}))
+        with pytest.raises(ValueError, match="does not read params k"):
+            run_pipeline(ExperimentConfig(pipeline="mader", graph="Bw", params={"k": 1}))
 
 
 # The completing preset of pipeline_random: it reaches the pasting-bound step.
