@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -34,18 +33,17 @@ def jsonable(obj):
     """Rewrite a report object tree into JSON-safe values.
 
     Floats are rounded to 12 significant digits so serialized reports are
-    byte-stable; Fractions become exact "p/q" strings.
+    byte-stable. Any other leaf that is not JSON becomes its ``str``, so
+    Fractions become exact "p/q" strings.
     """
+    if isinstance(obj, (str, int)) or obj is None:
+        return obj
     if isinstance(obj, float):
         return float(f"{obj:.12g}")
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
     return str(obj)
 
 

@@ -43,3 +43,39 @@ def test_minor_search_calls_is_connected_subset_by_name(monkeypatch):
     prism = Graph.from_edges(10, rim + [(u + 5, v + 5) for u, v in rim] + [(i, i + 5) for i in range(5)])
     assert minors.contains_minor(prism, complete_bipartite_graph(3, 3)) is None  # planar
     assert calls
+
+
+def test_isolated_sampler_calls_contains_minor_by_name(monkeypatch):
+    """The tracer counts ``minors.contains_minor.calls`` through the name
+    ``pipelines.contains_minor`` as well; the isolated sampler must search
+    each sample of order at least v(H) through that name, once, and no
+    smaller sample, so the count falls only by the samples settled by proof."""
+    import random
+
+    from minorforge import pipelines
+    from minorforge.graphs import add_isolated_vertices, complete_graph
+
+    searched = []
+    original = pipelines.contains_minor
+
+    def counting(G, H, *args, **kwargs):
+        searched.append(G.n)
+        return original(G, H, *args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "contains_minor", counting)
+    seed, count, max_n = 7, 300, 8
+    rng = random.Random(seed)
+    orders = []
+    for _ in range(count):
+        orders.append(rng.randint(1, max_n))
+        for _ in range(orders[-1] * (orders[-1] - 1) // 2):
+            rng.random()
+
+    H = add_isolated_vertices(complete_graph(3), 3)
+    pipelines._isolated_samples(H, seed, count, max_n, 0.5)
+    assert searched == [n for n in orders if n >= H.n]
+    assert 0 < len(searched) < count
+
+    searched.clear()
+    pipelines._isolated_samples(add_isolated_vertices(complete_graph(4), 5), seed, count, max_n, 0.5)
+    assert searched == []

@@ -244,9 +244,21 @@ class TestPipelineIsolated:
     ])
     def test_out_of_range_sampling_settings_are_refused(self, setting, message):
         # -4 samples certified "all 0 ... samples", an edge probability of 1.7
-        # sampled complete graphs, and order 0 failed inside randrange
-        with pytest.raises(ValueError, match=message):
-            pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7, **setting))
+        # sampled complete graphs, and order 0 failed inside randrange; K4 + 5K1
+        # has v(H) = 9 > 8, so its samples are settled without a draw
+        for order, k in ((3, 3), (4, 5)):
+            with pytest.raises(ValueError, match=message):
+                pipeline_isolated(complete_graph(order), k, ExperimentConfig(seed=7, **setting))
+
+    @pytest.mark.parametrize("order, k", [(3, 3), (4, 5)])
+    def test_sample_count_is_guarded(self, order, k, monkeypatch):
+        # 10^8 samples ran for hours; both the sampled and the settled shape refuse
+        too_many = 10_001
+        with pytest.raises(SizeGuardError, match="sample count"):
+            pipeline_isolated(complete_graph(order), k, ExperimentConfig(seed=7, sample_count=too_many))
+        monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
+        report = pipeline_isolated(complete_graph(order), k, ExperimentConfig(seed=7, sample_count=too_many))
+        assert report.verdict == "completed"
 
     def test_sample_order_is_guarded_not_clamped(self, monkeypatch):
         # a largest sampled order above 8 was silently taken as 8
@@ -258,12 +270,22 @@ class TestPipelineIsolated:
         assert report.params["sample_max_vertices"] == 16
         assert all(r["ok"] for r in replay_report(report.to_dict()))
 
-    @pytest.mark.parametrize("order", [3, 4])
-    def test_counts_match_an_independent_sweep(self, order):
+    @pytest.mark.parametrize("order, k, seed, count, max_n, edge_prob", [
+        pytest.param(3, 3, 5, 60, 8, 0.5, id="3"),
+        pytest.param(4, 3, 5, 60, 8, 0.5, id="4"),
+        # v(H) = 9 > max_n: every sample is settled by proof, none is drawn
+        pytest.param(4, 5, 5, 60, 8, 0.5, id="K4+5K1"),
+        pytest.param(5, 4, 5, 60, 8, 0.5, id="K5+4K1"),
+        pytest.param(3, 3, 5, 60, 5, 0.5, id="K3+3K1-max_n5"),
+        pytest.param(3, 3, 5, 60, 8, 0.0, id="edge_prob0"),
+        pytest.param(4, 3, 5, 60, 8, 1.0, id="edge_prob1"),
+        # sample 71 (E}]w, degeneracy 4) is K5-minor-free but not 3-degenerate
+        pytest.param(5, 0, 1, 72, 8, 0.7, id="K5-violation"),
+    ])
+    def test_counts_match_an_independent_sweep(self, order, k, seed, count, max_n, edge_prob):
         # rebuild the sample stream (one randint for the order, then one
         # random() per pair) and decide minor-freeness by the contraction oracle
-        H = add_isolated_vertices(complete_graph(order), 3)
-        seed, count, max_n, edge_prob = 5, 60, 8, 0.5
+        H = add_isolated_vertices(complete_graph(order), k)
         rng = random.Random(seed)
         counts = {"minor_free": 0, "degenerate_ok": 0, "coloring_ok": 0}
         violations = []
