@@ -52,8 +52,17 @@ class ListAssignment:
 
     @classmethod
     def from_json(cls, text: str) -> "ListAssignment":
+        """Parse ``{"lists": [[color, ...], ...]}``. Anything else raises
+        ValueError: colors must be non-negative integers, and a JSON
+        ``true`` or ``false`` is not one."""
         data = json.loads(text)
-        return cls.from_lists(data["lists"])
+        lists = data.get("lists") if isinstance(data, dict) else None
+        if not isinstance(lists, list) or not all(
+            isinstance(colors, list) and all(type(c) is int and c >= 0 for c in colors) for colors in lists
+        ):
+            raise ValueError('a list assignment must be a JSON object whose "lists" is a list of lists '
+                             "of non-negative integers")
+        return cls.from_lists(lists)
 
 
 def is_proper_coloring(G: Graph, coloring) -> bool:
@@ -242,6 +251,96 @@ def _alon_tarsi_certifies(H: Graph, k: int) -> bool:
     return True
 
 
+def _is_two_choosable_core(adj: tuple[int, ...], C: int) -> bool:
+    """True iff G[C] is an even cycle or a theta graph θ(2,2,2m), where
+    ``adj`` are the rows of G and G[C] is connected with minimum degree at
+    least 2, so that G[C] is its own core.
+
+    By the theorem of Erdős, Rubin and Taylor (Choosability in graphs,
+    1979), a connected graph is 2-choosable iff its core, left after
+    deleting vertices of degree 1 while there are any, is K1, an even cycle
+    or θ(2,2,2m) for some m >= 1: two vertices joined by three internally
+    disjoint paths of lengths 2, 2 and 2m. So for such a G[C] this is the
+    exact answer to "is G[C] 2-choosable".
+
+    With n = |C| and every degree at least 2, the degree sum 2e is at least
+    2n. If e = n every degree is 2 and the connected G[C] is a cycle, even
+    iff n is. Otherwise G[C] is θ(2,2,2m) iff e = n + 1, exactly two
+    vertices have degree 3, they are not adjacent, they share at least two
+    neighbors, and n is odd:
+
+    - The degree sum 2n + 2 exceeds 2n by 2, so either one vertex has
+      degree 4 (two cycles through one vertex) or two vertices u, v have
+      degree 3 and all others degree 2.
+    - In the second case G[C] is made of paths whose ends are u or v: three
+      u-v paths (a theta graph), or a cycle through u, a cycle through v
+      and one u-v path. In the latter u and v share at most one neighbor,
+      the middle of that path, so two shared neighbors leave a theta graph
+      with two u-v paths of length 2.
+    - u and v are not adjacent, so the third path has some length c >= 2,
+      and θ(2,2,c) has c + 3 vertices: n is odd iff c is even.
+
+    A triangle, the commonest kept subgraph, is answered after one pass
+    over its three vertices.
+    """
+    n = C.bit_count()
+    twice_e = 0
+    cubic = []
+    rest = C
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        d = (adj[v] & C).bit_count()
+        twice_e += d
+        if d == 3:
+            cubic.append(v)
+    if twice_e == 2 * n:
+        return n % 2 == 0
+    if twice_e != 2 * n + 2 or n % 2 == 0 or len(cubic) != 2:
+        return False
+    u, v = cubic
+    return not adj[u] >> v & 1 and (adj[u] & adj[v] & C).bit_count() >= 2
+
+
+def _is_two_choosable(G: Graph) -> bool:
+    """Decide 2-choosability of G by the Erdős–Rubin–Taylor theorem (see
+    ``_is_two_choosable_core``), without a search.
+
+    G is 2-choosable iff each of its components is. Deleting vertices of
+    degree at most 1 while there are any leaves the 2-core of G, whose
+    components are the cores of G's components that are not trees (a tree's
+    core is K1, and a deleted leaf leaves its component connected). So G is
+    2-choosable iff every component of its 2-core is an even cycle or
+    θ(2,2,2m).
+    """
+    adj = G.adj
+    core = (1 << G.n) - 1
+    peeled = True
+    while peeled:
+        peeled = False
+        rest = core
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & core).bit_count() < 2:
+                core ^= low
+                peeled = True
+    while core:
+        # the component of the lowest core vertex
+        comp = frontier = core & -core
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow = adj[low.bit_length() - 1] & core & ~comp
+            comp |= grow
+            frontier |= grow
+        if not _is_two_choosable_core(adj, comp):
+            return False
+        core ^= comp
+    return True
+
+
 def _independent_sets(H: Graph) -> dict[int, int]:
     """D_I for every non-empty independent set I of H, keyed by I.
 
@@ -325,6 +424,12 @@ def _capped_uncolorable_supports(H: Graph, k: int) -> list[int] | None:
     bit F >> covered. The caps come from the same update applied to every
     independent set of H at once, starting again from 1: after j rounds the
     family holds exactly the sets of chromatic number at most j.
+
+    ``dfs`` recurses once per chosen support and refuses a node that
+    already holds ``max_colors`` of them, so it is at most ``max_colors``
+    calls deep below the root. The sweep passes only k <= n - 1, since a
+    set of at most k vertices fails its degree test, so at the order-8
+    guard (k <= 7, 168 intersecting pairs) that depth is 18.
     """
     n = H.n
     adj = H.adj
@@ -444,10 +549,18 @@ def find_uncolorable_assignment(
     giving every outside vertex k fresh private colors. Assignments use at
     most k*v(G) colors overall and are enumerated up to color renaming.
 
-    With ``use_shortcuts`` a subgraph is skipped when the polynomial
-    certificate of ``_alon_tarsi_certifies`` proves it k-choosable; that is
-    sound, so the result is exact either way. No degeneracy test is needed:
-    every vertex of a kept subgraph has at least k neighbors in it, so its
+    With ``use_shortcuts`` a subgraph proved k-choosable is skipped; that
+    is sound, so the result is exact either way, and since a k-choosable
+    subgraph has no witness to find, the first subgraph searched, and so
+    the witness returned, is the same as without the skip. At k = 2 the
+    proof is the Erdős–Rubin–Taylor theorem: a kept subgraph is connected
+    with minimum degree at least 2, so it is its own core, and it is
+    2-choosable iff it is an even cycle or θ(2,2,2m)
+    (``_is_two_choosable_core``); every other kept subgraph is searched.
+    At other k it is the polynomial certificate of
+    ``_alon_tarsi_certifies``, which at k = 2 could certify only the even
+    cycles (it needs at most n edges). No degeneracy test is needed: every
+    vertex of a kept subgraph has at least k neighbors in it, so its
     degeneracy is at least k and greedy coloring from k colors settles none.
 
     The support search keeps families of 2**v(G) bits, and one chromatic
@@ -476,8 +589,10 @@ def find_uncolorable_assignment(
                 rest ^= low
             if rest or not is_connected_subset(G, T):
                 continue
+            if use_shortcuts and k == 2 and _is_two_choosable_core(adj, T):
+                continue
             sub = induced_subgraph(G, T)
-            if use_shortcuts and _alon_tarsi_certifies(sub, k):
+            if use_shortcuts and k != 2 and _alon_tarsi_certifies(sub, k):
                 continue
             supports = _capped_uncolorable_supports(sub, k)
             if supports is None:
@@ -497,6 +612,17 @@ def find_uncolorable_assignment(
 
 
 def is_k_choosable(G: Graph, k: int, *, use_shortcuts: bool = True) -> bool:
+    """True iff every assignment of k colors per vertex has a coloring.
+
+    With ``use_shortcuts`` and k = 2 the answer comes from the
+    Erdős–Rubin–Taylor theorem (``_is_two_choosable``), with no sweep and
+    no witness built; the order guard of ``find_uncolorable_assignment``
+    still applies. Otherwise it is ``find_uncolorable_assignment(G, k)
+    is None``.
+    """
+    if use_shortcuts and k == 2:
+        check_size(G.n, LIST_CHROMATIC_MAX_ORDER, "graph order for find_uncolorable_assignment")
+        return _is_two_choosable(G)
     return find_uncolorable_assignment(G, k, use_shortcuts=use_shortcuts) is None
 
 
@@ -508,7 +634,9 @@ def list_chromatic_number(G: Graph, *, use_shortcuts: bool = True) -> int:
     k is choosable: giving every vertex the same k colors leaves G
     uncolorable, so chi <= chi_l. With ``use_shortcuts`` only the k in
     chi..d are searched, and when chi = d+1 that sandwich closes and nothing
-    is. ``use_shortcuts=False`` is the oracle: it searches every k from 1 to
+    is; k = 2, when searched, is answered by the Erdős–Rubin–Taylor theorem
+    (see ``is_k_choosable``) and never reaches the support sweep.
+    ``use_shortcuts=False`` is the oracle: it searches every k from 1 to
     d+1, with no shortcut inside the search either.
     """
     check_size(G.n, LIST_CHROMATIC_MAX_ORDER, "graph order for list_chromatic_number")
@@ -521,12 +649,29 @@ def list_chromatic_number(G: Graph, *, use_shortcuts: bool = True) -> int:
 
 
 def chromatic_number(G: Graph) -> int:
-    """Chromatic number, decided with the list solver on identical lists."""
+    """Chromatic number, decided with the list solver on identical lists.
+
+    The tries start at the size of the largest of n greedy cliques, one
+    grown from each vertex through common neighbors, lowest first. A
+    clique needs as many colors as it has vertices, so no smaller k can
+    succeed and the first k that does is still chi. (Reading chi from
+    ``_chromatic_layers`` instead builds every independent set of G first
+    and measured no faster.)
+    """
     if G.n == 0:
         return 0
     if G.edge_count() == 0:
         return 1
-    for k in range(1, G.n + 1):
+    adj = G.adj
+    start = 2
+    for v in range(G.n):
+        size, common = 1, adj[v]
+        while common:
+            low = common & -common
+            common &= adj[low.bit_length() - 1]
+            size += 1
+        start = max(start, size)
+    for k in range(start, G.n + 1):
         if is_l_colorable(G, ListAssignment.uniform(G.n, range(k))) is not None:
             return k
     raise AssertionError("unreachable: n colors always suffice")

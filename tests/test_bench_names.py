@@ -79,3 +79,58 @@ def test_isolated_sampler_calls_contains_minor_by_name(monkeypatch):
     searched.clear()
     pipelines._isolated_samples(add_isolated_vertices(complete_graph(4), 5), seed, count, max_n, 0.5)
     assert searched == []
+
+
+def test_list_chromatic_number_reaches_the_sweep_by_name(monkeypatch):
+    """The tracer counts ``coloring.find_uncolorable_assignment.calls``
+    through that module name. ``list_chromatic_number`` must reach the
+    support sweep only through it, and with shortcuts never at k = 2,
+    which the Erdős–Rubin–Taylor theorem answers; otherwise the traced
+    count could fall for some other reason."""
+    from minorforge import coloring
+    from minorforge.graphs import complete_bipartite_graph, complete_multipartite_graph, cycle_graph
+
+    swept, inside = [], []
+    original = coloring.find_uncolorable_assignment
+    sweep = coloring._capped_uncolorable_supports
+
+    def counting(G, k, **kwargs):
+        swept.append((k, kwargs.get("use_shortcuts", True)))
+        inside.append(True)
+        try:
+            return original(G, k, **kwargs)
+        finally:
+            inside.pop()
+
+    def searching(H, k):
+        assert inside, "support search reached without find_uncolorable_assignment"
+        return sweep(H, k)
+
+    monkeypatch.setattr(coloring, "find_uncolorable_assignment", counting)
+    monkeypatch.setattr(coloring, "_capped_uncolorable_supports", searching)
+    graphs = [complete_bipartite_graph(3, 3), complete_bipartite_graph(2, 4), complete_multipartite_graph(2, 2, 2),
+              complete_bipartite_graph(2, 3), cycle_graph(6)]
+    assert [coloring.list_chromatic_number(G) for G in graphs] == [3, 3, 3, 2, 2]
+    assert swept and (2, True) not in swept
+    swept.clear()
+    assert coloring.list_chromatic_number(complete_bipartite_graph(2, 4), use_shortcuts=False) == 3
+    assert (2, False) in swept
+
+
+def test_chromatic_number_calls_is_l_colorable_by_name(monkeypatch):
+    """The tracer counts ``coloring.is_l_colorable.calls`` through that
+    module name; ``chromatic_number`` must try each k through it."""
+    from minorforge import coloring
+    from minorforge.graphs import complete_graph, cycle_graph
+
+    tried = []
+    original = coloring.is_l_colorable
+
+    def counting(G, L):
+        tried.append(L.min_size())
+        return original(G, L)
+
+    monkeypatch.setattr(coloring, "is_l_colorable", counting)
+    assert coloring.chromatic_number(cycle_graph(5)) == 3
+    assert coloring.chromatic_number(complete_graph(4)) == 4
+    assert tried == [2, 3, 4]  # from the greedy clique size up

@@ -107,6 +107,20 @@ class TestChoosability:
         )
         assert data["list_chromatic_number"] == 4
 
+    def test_malformed_lists_are_errors(self, runner, tmp_path):
+        # the first three ended in a KeyError or TypeError traceback, and the
+        # fourth printed the color 0.5
+        lists = tmp_path / "lists.json"
+        for text in ("{}", "[[0,1],[0,1]]", '{"lists": [[0,1],["a"]]}', '{"lists": [[0,1],[0.5]]}'):
+            lists.write_text(text)
+            result = runner.invoke(main, ["check-choosability", "--graph", to_graph6(complete_graph(2)),
+                                          "--lists", str(lists)])
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), text
+            assert result.output.splitlines() == [
+                'Error: a list assignment must be a JSON object whose "lists" is a list of lists '
+                "of non-negative integers"
+            ], text
+
     def test_nothing_to_do(self, runner):
         result = runner.invoke(main, ["check-choosability", "--graph", "Bw"])
         assert result.exit_code != 0

@@ -239,6 +239,8 @@ class TestListChromaticNumber:
             find_uncolorable_assignment(empty_graph(9), 1)
         with pytest.raises(SizeGuardError):
             is_k_choosable(empty_graph(9), 1)
+        with pytest.raises(SizeGuardError):
+            is_k_choosable(empty_graph(9), 2)  # answered by a theorem, guarded all the same
         monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")
         assert find_uncolorable_assignment(empty_graph(9), 1) is None
 
@@ -353,6 +355,80 @@ class TestShortcutsAgainstExhaustiveSearch:
             assert not reference_alon_tarsi_certifies(K, n - 1)
 
 
+def theta_graph(*lengths: int) -> Graph:
+    """Vertices 0 and 1 joined by internally disjoint paths of the given lengths."""
+    edges, n = [], 2
+    for length in lengths:
+        prev = 0
+        for _ in range(length - 1):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, 1))
+    return Graph.from_edges(n, edges)
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    edges, n = [], 0
+    for H in parts:
+        edges += [(u + n, v + n) for u, v in H.edges()]
+        n += H.n
+    return Graph.from_edges(n, edges)
+
+
+class TestTwoChoosabilityTheorem:
+    """At k = 2, with shortcuts, the Erdős–Rubin–Taylor theorem replaces
+    the support search: it must agree with the exhaustive search and leave
+    every witness as it was."""
+
+    @staticmethod
+    def agrees(G: Graph) -> bool:
+        witness = find_uncolorable_assignment(G, 2)
+        assert witness == find_uncolorable_assignment(G, 2, use_shortcuts=False), G
+        assert is_k_choosable(G, 2) == (witness is None), G
+        return witness is None
+
+    def test_every_graph_up_to_order_seven(self):
+        graphs = atlas_graphs(range(0, 8))
+        assert len(graphs) == 1253
+        assert sum(map(self.agrees, graphs)) == 127  # the rest have a witness
+
+    def test_theta_graphs_cycles_and_unions(self, monkeypatch):
+        choosable = set()
+        for a in range(1, 7):
+            for b in range(max(a, 2), 7):
+                for c in range(b, 7):
+                    if a + b + c - 1 <= 8 and self.agrees(theta_graph(a, b, c)):
+                        choosable.add((a, b, c))
+        assert choosable == {(2, 2, 2), (2, 2, 4)}
+        assert [self.agrees(cycle_graph(n)) for n in range(3, 9)] == [n % 2 == 0 for n in range(3, 9)]
+        K23 = complete_bipartite_graph(2, 3)
+        monkeypatch.setenv("FORGE_GUARD_OVERRIDE", "2")  # C4 + K2,3 has 9 vertices
+        assert self.agrees(disjoint_union(cycle_graph(4), K23))
+        monkeypatch.delenv("FORGE_GUARD_OVERRIDE")
+        assert not self.agrees(disjoint_union(cycle_graph(4), cycle_graph(3)))
+        assert self.agrees(disjoint_union(K23, path_graph(3)))
+        # a theta core with pendant trees is 2-choosable; two cycles on a path are not
+        pendant = Graph.from_edges(8, list(K23.edges()) + [(0, 5), (5, 6), (2, 7)])
+        assert self.agrees(pendant)
+        handcuff = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 4)])
+        assert not self.agrees(handcuff)
+
+    def test_no_search_where_the_theorem_answers(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        for G in (complete_bipartite_graph(2, 3), theta_graph(2, 2, 4), cycle_graph(6)):
+            monkeypatch.setattr(coloring, "_capped_uncolorable_supports", no_search)
+            assert find_uncolorable_assignment(G, 2) is None
+            monkeypatch.setattr(coloring, "find_uncolorable_assignment", no_search)
+            assert is_k_choosable(G, 2)
+            monkeypatch.undo()
+
+    def test_chromatic_number_matches_the_chromatic_layers(self):
+        for G in atlas_graphs(range(0, 8)):
+            assert chromatic_number(G) == len(_chromatic_layers(G, _independent_sets(G))) - 1, G
+
+
 class TestKeptSubgraphsAreNotDegenerate:
     def test_every_subgraph_the_sweep_searches_has_degeneracy_at_least_k(self, monkeypatch):
         """The sweep keeps a subgraph only if each of its vertices has at
@@ -421,3 +497,11 @@ class TestListAssignmentJson:
     def test_roundtrip(self):
         L = lists_of({1, 2}, {3}, {0, 4})
         assert ListAssignment.from_json(L.to_json()) == L
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"lists": [[0, 1], [true]]}', '{"lists": [[-1]]}', '{"lists": [0, 1]}', '{"lists": {"0": [1]}}'],
+    )
+    def test_malformed_lists_are_refused(self, text):
+        with pytest.raises(ValueError, match="list of lists of non-negative integers"):
+            ListAssignment.from_json(text)
