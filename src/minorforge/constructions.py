@@ -1,6 +1,6 @@
-"""Gadget builders: K-fold clique pastings, the adversarial list family with
-a factored lower-bound verifier that never materializes the pasting, and
-rejection-sampled almost-complete minor-free gadgets."""
+"""Gadget builders: K-fold clique pastings, the adversarial list family and
+the pasting lower bound it proves by pigeonhole without materializing the
+pasting, and rejection-sampled almost-complete minor-free gadgets."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .coloring import ListAssignment, is_l_colorable
+from .coloring import ListAssignment
 from .errors import check_size
 from .graphs import (
     Graph,
@@ -154,110 +154,77 @@ def adversarial_lists_for_copy(part: TwoCliquePartition, coloring_of_a: dict[int
 
 @dataclass
 class PastingBoundCheck:
-    """Outcome of the factored pasting verifier.
+    """The pasting lower bound that a valid two-clique partition proves.
 
-    ``colorings_checked`` counts the A-colorings the verdict covers: every
-    injective one when the bound is certified, the first one when it is not.
+    The ``copies``-fold pasting at A needs at least ``bound`` colors in some
+    list assignment. ``colorings_checked`` counts the injective A-colorings
+    from the universe that the proof covers.
     """
 
-    certified: bool
     bound: int
     copies: int
     colorings_checked: int
-    counterexample: dict | None = None
 
 
-def check_pasting_lower_bound(
-    part: TwoCliquePartition, *, check_invariants: bool = True
-) -> PastingBoundCheck:
-    """Factored verification that the K-fold pasting of the graph at A needs
-    more than |A|+|B|-1-slack colors, for K = (|A|+|B|-1)^|A|.
+def check_pasting_lower_bound(part: TwoCliquePartition) -> PastingBoundCheck:
+    """Prove that the K-fold pasting of the graph at A needs more than
+    |A|+|B|-1-slack colors, for K = u^|A| and u = |A|+|B|-1.
 
-    In any proper coloring of the materialized pasting, the restriction to
-    the clique A is injective and matches exactly one copy's planned
-    A-coloring, so it would extend inside that copy under the copy's
-    adversarial lists. If no injective A-coloring from the universe extends,
-    the bound holds without materializing the pasting. A must be a clique
-    even with ``check_invariants=False``: otherwise some proper A-colorings
-    are not injective and the argument fails.
+    The lists are those of ``materialized_pasting_instance``: A gets the
+    universe [1..u], and copy i's B-block gets the adversarial lists of the
+    i-th function from A to the universe, so every list has at least
+    u-slack colors. No proper coloring from these lists exists:
 
-    One solve settles all injective A-colorings. Let a_i be the i-th
-    smallest A-vertex and take the canonical coloring a_i -> i. For any
-    injective sigma, a permutation pi of the universe with pi(i) = sigma(a_i)
-    maps the canonical lists and pins onto sigma's (a B-vertex loses the
-    colors of its A-non-neighbors, and pi permutes those colors alike) while
-    the graph stays the same, so either every such pinned instance is
-    colorable or none is. When the bound fails, the counterexample reports
-    the canonical coloring, the lexicographically first injective one.
+    - A is a clique, so every proper coloring is injective on A. Some copy
+      plans exactly that A-coloring; pin A to it.
+    - In that copy each B-vertex loses every A-color: its A-neighbors'
+      colors because the coloring is proper, its A-non-neighbors' colors
+      because its list omits them.
+    - That leaves the clique B with u-|A| = |B|-1 colors, too few.
+
+    The proof covers all perm(u, |A|) injective A-colorings at once; when
+    |A| > u there are none, and the clique A alone cannot be colored. It
+    holds for every partition that ``validate`` accepts, which raises
+    ValueError on any other.
     """
-    if check_invariants:
-        part.validate()
-    elif not is_clique(part.graph, part.a_mask):
-        raise ValueError("A does not induce a clique")
-    G = part.graph
-    a_vertices = part.a_vertices()
+    part.validate()
+    a_count = part.a_mask.bit_count()
     u = part.universe_size()
-    bound = part.a_mask.bit_count() + part.b_mask.bit_count() - part.slack
-    if G.n == 0:  # empty gadget: the claimed bound is 0, vacuously certified
-        return PastingBoundCheck(certified=True, bound=bound, copies=1, colorings_checked=0)
-    copies = u ** len(a_vertices)
-    universe = range(1, u + 1)
-    injective = math.perm(len(universe), len(a_vertices))
-    if not injective:  # B is empty: A has more vertices than there are colors
-        return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=0)
-    coloring_of_a = dict(zip(a_vertices, universe))
-    lists = adversarial_lists_for_copy(part, coloring_of_a)
-    pinned = list(lists.lists)
-    for a, c in coloring_of_a.items():
-        pinned[a] = frozenset({c})
-    extension = is_l_colorable(G, ListAssignment(tuple(pinned)))
-    if extension is None:
-        return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=injective)
-    return PastingBoundCheck(
-        certified=False,
-        bound=bound,
-        copies=copies,
-        colorings_checked=1,
-        counterexample={
-            "a_coloring": {str(a): c for a, c in coloring_of_a.items()},
-            "extension": list(extension),
-        },
-    )
+    bound = a_count + part.b_mask.bit_count() - part.slack
+    if part.graph.n == 0:  # empty gadget: the claimed bound is 0, vacuously certified
+        return PastingBoundCheck(bound=bound, copies=1, colorings_checked=0)
+    return PastingBoundCheck(bound=bound, copies=u**a_count, colorings_checked=math.perm(u, a_count))
 
 
 def materialized_pasting_instance(
     part: TwoCliquePartition, *, check_invariants: bool = True
 ) -> tuple[Graph, ListAssignment]:
-    """The explicit pasting and list assignment behind the factored verifier.
+    """The explicit pasting and list assignment behind the pasting bound.
 
     Builds the full K-fold pasting at A, K = (|A|+|B|-1)^|A|, and the lists
-    in which copy i's B-block reacts to the i-th A-coloring in mixed-radix
-    enumeration order (every function from A to the universe, not only the
-    proper ones). Only feasible for tiny fixtures; the uncolorability of
-    this instance is the ground truth the factored verifier must match.
+    in which copy i takes ``adversarial_lists_for_copy`` of the i-th
+    A-coloring in mixed-radix enumeration order (every function from A to
+    the universe, not only the proper ones). Only feasible for tiny
+    fixtures; the uncolorability of this instance is the ground truth that
+    ``check_pasting_lower_bound`` proves.
     """
     if check_invariants:
         part.validate()
-    G = part.graph
     a_vertices = part.a_vertices()
-    b_vertices = part.b_vertices()
     u = part.universe_size()
     copies = u ** len(a_vertices)
-    spec = PastingSpec(G, part.a_mask, copies)
+    spec = PastingSpec(part.graph, part.a_mask, copies)
     pasted = k_fold_pasting(spec)
-    universe = frozenset(range(1, u + 1))
-    lists: list[frozenset[int]] = [universe] * pasted.n
+    lists: list[frozenset[int]] = [frozenset()] * pasted.n
     for copy in range(copies):
         digits = []
         value = copy
         for _ in a_vertices:
             digits.append(value % u + 1)
             value //= u
-        coloring_of_a = dict(zip(a_vertices, digits))
-        placed = pasting_copy_vertices(spec, copy)
-        for b in b_vertices:
-            removed = {coloring_of_a[a] for a in a_vertices if not G.adj[b] >> a & 1}
-            lists[placed[b]] = universe - removed
+        copy_lists = adversarial_lists_for_copy(part, dict(zip(a_vertices, digits))).lists
+        for v, placed in enumerate(pasting_copy_vertices(spec, copy)):
+            lists[placed] = copy_lists[v]
     return pasted, ListAssignment(tuple(lists))
 
 

@@ -17,6 +17,7 @@ heuristic.
 
 import math
 import random
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from minorforge.coloring import (
@@ -374,12 +375,27 @@ def are_isomorphic(G: Graph, H: Graph) -> bool:
     return False
 
 
+@dataclass
+class ReferencePastingCheck:
+    """Outcome of ``reference_check_pasting_lower_bound``. ``counterexample``
+    holds the first injective A-coloring that extends and its extension;
+    only a partition that ``validate`` rejects can have one."""
+
+    certified: bool
+    bound: int
+    copies: int
+    colorings_checked: int
+    counterexample: dict | None = None
+
+
 def reference_check_pasting_lower_bound(part, *, check_invariants: bool = True):
-    """The factored pasting verifier as it stood before the canonical-coloring
-    collapse: one pinned solve per injective A-coloring, in the order
-    ``permutations`` yields them, stopping at the first that extends."""
+    """The pasting verifier as it stood before the canonical-coloring collapse
+    and the pigeonhole proof: one pinned solve per injective A-coloring, in
+    the order ``permutations`` yields them, stopping at the first that
+    extends. With ``check_invariants=False`` it also runs on partitions whose
+    B is not a clique or whose slack is too small."""
     from minorforge.coloring import is_l_colorable
-    from minorforge.constructions import PastingBoundCheck, adversarial_lists_for_copy
+    from minorforge.constructions import adversarial_lists_for_copy
 
     if check_invariants:
         part.validate()
@@ -388,7 +404,7 @@ def reference_check_pasting_lower_bound(part, *, check_invariants: bool = True):
     u = part.universe_size()
     bound = part.a_mask.bit_count() + part.b_mask.bit_count() - part.slack
     if G.n == 0:
-        return PastingBoundCheck(certified=True, bound=bound, copies=1, colorings_checked=0)
+        return ReferencePastingCheck(certified=True, bound=bound, copies=1, colorings_checked=0)
     copies = u ** len(a_vertices)
     checked = 0
     for assignment in permutations(range(1, u + 1), len(a_vertices)):
@@ -400,7 +416,7 @@ def reference_check_pasting_lower_bound(part, *, check_invariants: bool = True):
             pinned[a] = frozenset({c})
         extension = is_l_colorable(G, ListAssignment(tuple(pinned)))
         if extension is not None:
-            return PastingBoundCheck(
+            return ReferencePastingCheck(
                 certified=False,
                 bound=bound,
                 copies=copies,
@@ -410,7 +426,7 @@ def reference_check_pasting_lower_bound(part, *, check_invariants: bool = True):
                     "extension": list(extension),
                 },
             )
-    return PastingBoundCheck(certified=True, bound=bound, copies=copies, colorings_checked=checked)
+    return ReferencePastingCheck(certified=True, bound=bound, copies=copies, colorings_checked=checked)
 
 
 def reference_build_thm_random_gadget(H: Graph, delta, p, seed: int, attempts: int = 200):

@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from minorforge import coloring, pipelines, reports
+from minorforge.cli import main
+from minorforge.constructions import check_pasting_lower_bound
 from minorforge.errors import SizeGuardError
 from minorforge.graphio import to_graph6
 from minorforge.graphs import (
@@ -38,6 +41,7 @@ from minorforge.reports import (
 )
 
 from .oracles import reference_best_induced_connectivity
+from .test_constructions import all_small_fixtures
 
 
 def small_cfg(seed=42, **kwargs):
@@ -637,6 +641,29 @@ def test_pinned_determinism_hash(name):
     data = run().to_dict()
     assert data["determinism_hash"] == expected
     assert all(r["ok"] for r in replay_report(data))
+
+
+def test_pasting_verification_runs_no_list_coloring_solve(monkeypatch):
+    # the pasting bound is proved, not searched: with the list-coloring
+    # solver disabled, the verifier, the replay of a pinned run's bound line
+    # and the CLI command all still certify
+    report = PINNED_REPORTS["conn-K8"][0]().to_dict()
+    line = next(c for c in report["certified"] if c["replay"]["op"] == "pasting_bound_certified")
+    args = line["replay"]["args"]
+
+    def no_solve(*_):
+        raise AssertionError("a list-coloring solve ran")
+
+    monkeypatch.setattr(coloring, "_solve_list_coloring", no_solve)
+    for part in all_small_fixtures():
+        check_pasting_lower_bound(part)
+    assert replay_report({"certified": [line]}) == [{"claim": line["claim"], "ok": True, "got": True}]
+    result = CliRunner().invoke(main, [
+        "verify-pasting-bound", "--graph", args["graph"], "--part-a", ",".join(map(str, args["a"])),
+        "--part-b", ",".join(map(str, args["b"])), "-d", str(args["slack"]),
+    ])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["certified"] is True
 
 
 # sha256 of the report.json and summary.csv bytes of each PINNED_REPORTS run
