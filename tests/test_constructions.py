@@ -266,6 +266,30 @@ class TestPastingLowerBound:
         with pytest.raises(ValueError, match="A does not induce a clique"):
             check_pasting_lower_bound(part)
 
+    def test_canonical_solve_equals_the_permutation_loop(self):
+        # the package answers only partitions that validate, and there it
+        # agrees with the permutation loop on every field; every
+        # counterexample the loop finds is on a partition the package refuses
+        rng = random.Random(37)
+        counterexamples = valid = 0
+        for _ in range(2000):
+            part = relaxed_partition(rng, rng.randint(0, 4), rng.randint(0, 4))
+            want = reference_check_pasting_lower_bound(part, check_invariants=False)
+            try:
+                part.validate()
+            except ValueError:
+                with pytest.raises(ValueError):
+                    check_pasting_lower_bound(part)
+                counterexamples += not want.certified
+                continue
+            got = check_pasting_lower_bound(part)
+            assert want.certified and want.counterexample is None
+            assert (got.bound, got.copies, got.colorings_checked) == (
+                want.bound, want.copies, want.colorings_checked)
+            valid += 1
+        assert counterexamples >= 200
+        assert valid >= 200
+
     def test_certifies_across_random_valid_fixtures(self):
         # for invariant-satisfying partitions the bound holds by pigeonhole,
         # at every shape: the permutation loop, one solve per injective
