@@ -338,15 +338,16 @@ def pipeline():
 
 def _pipeline_config(pipeline: str, config_path, params: dict, **fields) -> ExperimentConfig:
     """The config file's settings, or the ``ExperimentConfig`` defaults, with
-    every flag that was given on top; a flag left out is None. These
-    pipelines are randomized, so the result must hold a seed."""
+    every flag that was given on top; a flag left out is None. The conn and
+    random pipelines are randomized, so for them the result must hold a
+    seed."""
     cfg = ExperimentConfig.from_file(config_path) if config_path else ExperimentConfig()
     cfg.pipeline = pipeline
     for name, value in fields.items():
         if value is not None:
             setattr(cfg, name, value)
     cfg.params.update({key: value for key, value in params.items() if value is not None})
-    if cfg.seed is None:
+    if pipeline in ("conn", "random") and cfg.seed is None:
         raise click.UsageError(f"pipeline {pipeline} is randomized and requires --seed")
     return cfg
 
@@ -391,20 +392,12 @@ def pipeline_random_cmd(n, epsilon, delta, p, D, seed, attempts, config_path, ou
 @pipeline.command("isolated")
 @click.option("--graph", default=None, help="Base graph F")
 @click.option("-k", type=int, default=None, help="Number of isolated vertices to add")
-@click.option("--seed", type=int, default=None, help="Seed (mandatory)")
-@click.option("--samples", type=int, default=None,
-              help=f"Random graphs sampled [default: {ExperimentConfig.sample_count}]")
-@click.option("--max-n", type=int, default=None,
-              help=f"Largest sampled order [default: {ExperimentConfig.sample_max_vertices}]")
-@click.option("--edge-prob", type=float, default=None,
-              help=f"Sampled edge probability [default: {ExperimentConfig.edge_prob}]")
 @click.option("--config", "config_path", default=None, help="Experiment config file (JSON or INI)")
 @click.option("--out", default=None, help="Run directory")
 @forge_errors
-def pipeline_isolated_cmd(graph, k, seed, samples, max_n, edge_prob, config_path, out):
-    """Isolated-vertex padding pipeline."""
-    cfg = _pipeline_config("isolated", config_path, {"k": k}, graph=graph, seed=seed,
-                           sample_count=samples, sample_max_vertices=max_n, edge_prob=edge_prob)
+def pipeline_isolated_cmd(graph, k, config_path, out):
+    """Isolated-vertex padding pipeline (deterministic)."""
+    cfg = _pipeline_config("isolated", config_path, {"k": k}, graph=graph)
     _run_pipeline(cfg, out or cfg.output_dir)
 
 

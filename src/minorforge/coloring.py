@@ -92,10 +92,10 @@ def _solve_list_coloring(n: int, adj: tuple[int, ...], list_masks: list[int]) ->
     members would need two equal colors on adjacent vertices, so the node
     has no completion and is cut. The cut removes only subtrees without a
     coloring and leaves the vertex and color order alone, so the search
-    reaches the same first coloring as plain backtracking, only sooner: a
-    pinned instance of the pasting verifier, whose clique B keeps |B|-1
-    colors once A's colors propagate, now dies at that node instead of
-    after enumerating B.
+    reaches the same first coloring as plain backtracking, only sooner: in
+    the materialized pastings the tests solve, the copy that plans A's
+    coloring leaves its clique B |B|-1 colors once A's colors propagate,
+    and the search dies at that node instead of after enumerating B.
     """
     if not all(list_masks):
         return None

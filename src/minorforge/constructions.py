@@ -108,6 +108,8 @@ class TwoCliquePartition:
             raise ValueError("A and B must cover every vertex")
         if not 0 <= self.slack <= self.a_mask.bit_count():
             raise ValueError("slack must lie between 0 and |A|")
+        if self.a_mask and self.universe_size() < 1:
+            raise ValueError("the universe [1..|A|+|B|-1] is empty while A is not")
         if not is_clique(G, self.a_mask):
             raise ValueError("A does not induce a clique")
         if not is_clique(G, self.b_mask):

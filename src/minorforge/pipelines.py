@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -27,6 +26,7 @@ from .errors import OPERATION_ERRORS, check_size, guard_limit
 from .graphs import (
     Graph,
     add_isolated_vertices,
+    complement,
     complete_graph,
     degeneracy,
     induced_subgraph,
@@ -36,17 +36,13 @@ from .graphs import (
 )
 from .graphio import load_graph, parse_graph6, to_graph6
 from .minors import contains_minor, find_induced_pattern_minor
-from .random_models import PropertyQParams, check_property_Q, constant_C, constant_D, m_of, sample_gnm_uniform
+from .random_models import PropertyQParams, check_property_Q, constant_D, m_of, sample_gnm_uniform
 from .reports import ExperimentConfig, RunReport, jsonable
 
 PIPELINE_CONN_MAX_ORDER = 12
 PIPELINE_RANDOM_MAX_ORDER = 10
 PIPELINE_ISOLATED_MAX_ORDER = 9
-ISOLATED_SAMPLE_MAX_ORDER = 8
-# At most 33x the default 300 samples. The slowest sample cost measured at
-# the order guard is C6 at edge probability 0.4, about 0.22 ms of CPU per
-# sample (CPython 3.11.7), so a run at the count guard takes about 2 s.
-ISOLATED_SAMPLE_MAX_COUNT = 10_000
+ISOLATED_SWEEP_MAX_ORDER = 8
 MADER_MAX_ORDER = 9
 PASTING_CLOSURE_COPIES = 2
 
@@ -247,7 +243,8 @@ def pipeline_random(
     """Sparse pseudo-random lower-bound pipeline at one instance size.
 
     Derives the parameter chain (delta on a 1/100 grid, edge probability,
-    density constants, edge count with clamping), samples the pattern
+    density constants with C = D^2/delta^2 for the D in use, given or
+    derived, and the edge count with clamping), samples the pattern
     graph, checks its edge-spread property exactly, builds the gadget, and
     certifies: no induced-pattern minors at the binding sizes, pasting
     closure at a small materialized pasting, and the pasting
@@ -268,7 +265,7 @@ def pipeline_random(
     D = overrides.get("D")
     D = Fraction(D) if D is not None else Fraction(constant_D(delta, p))
     C = overrides.get("C")
-    C = Fraction(C) if C is not None else Fraction(constant_C(delta, p))
+    C = Fraction(C) if C is not None else D * D / (delta * delta)
     m, clamped = m_of(n, C)
 
     report = RunReport(
@@ -341,34 +338,39 @@ def pipeline_random(
 
 @_timed
 def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> RunReport:
-    """Isolated-vertex padding pipeline: sampled degeneracy evidence.
+    """Isolated-vertex padding pipeline: an exhaustive degeneracy sweep.
 
-    Pads the graph with k isolated vertices, samples random graphs, keeps
-    the ones with no padded-pattern minor, and checks each is
-    (v(H)-2)-degenerate, hence colorable from any lists of size v(H)-1.
-    A sample with fewer than v(H) vertices passes both by proof and is not
-    searched; when v(H) exceeds the largest sampled order, none is drawn.
+    Pads the graph with k isolated vertices to H and certifies that no
+    H-minor-free graph on at most N = min(8, v(H) + 2) vertices has
+    degeneracy >= v(H) - 1, so that each is colorable from any lists of
+    size v(H) - 1 (greedily, in reverse degeneracy order), or lists the
+    graphs that break this; ``_degeneracy_sweep`` has the proof. ``cfg``
+    is taken for the call shape the other pipelines share and is not read:
+    nothing is drawn.
+
+    Orders above v(H) + 2 are left out, and below the cap of 8 that happens
+    only when v(H) <= 5, where they change no verdict. Minimum degree 2
+    forces a K3 minor, minimum degree 3 a K4 minor (Dirac) and minimum
+    degree 4 a K5 or K2,2,2 minor (Halin-Jung); each of these has every
+    graph on as many vertices as a minor, except that K2,2,2 has no K5
+    minor, and for H = K5 the sweep already names the octahedron at order 6.
+
     The threshold k0 uses the max of the two defining quantities (the
     paper-facing min is inconsistent with its own use) and a provable lower
     bound for the minor-forcing degree, so desk-scale runs always sit below
     k0: violations are recorded as exploratory, not as refutations.
     """
-    cfg = cfg or ExperimentConfig()
     if k < 0:
         raise ValueError("k must be nonnegative")
     check_size(F.n + k, PIPELINE_ISOLATED_MAX_ORDER, "padded order for pipeline_isolated")
-    seed = _require_seed(cfg.seed)
     H = add_isolated_vertices(F, k)
     vH = H.n
     d_lower = max(F.n - 1, 0)
     k0 = max(d_lower + 1, 9 * F.n**3)
     report = RunReport(
         pipeline="isolated",
-        params={"graph": to_graph6(F), "k": k,
-                "sample_count": cfg.sample_count,
-                "sample_max_vertices": cfg.sample_max_vertices,
-                "edge_prob": cfg.edge_prob},
-        seed=seed,
+        params={"graph": to_graph6(F), "k": k},
+        seed=None,
         n=vH,
     )
     report.notes.append(
@@ -385,21 +387,19 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
         )
     report.add_step("pad", "built", {"padded_order": vH, "k0": k0})
 
-    counts, violations = _isolated_samples(H, seed, cfg.sample_count, cfg.sample_max_vertices, cfg.edge_prob)
-    verdict = "all-degenerate" if not violations else "violations-found"
-    report.add_step("sampling", verdict, {"samples": cfg.sample_count, **counts, "violations": violations})
+    sweep = _degeneracy_sweep(H)
+    N, violations = sweep["max_order"], sweep["violations"]
+    report.add_step("sweep", "violations-found" if violations else "all-degenerate", sweep)
     if violations:
         report.verdict = "exploratory-violations" if k < k0 else "violations-found"
         report.notes.append(f"violations: {len(violations)} (flagged prominently)")
-    report.certify(
-        f"all {counts['minor_free']} padded-pattern-minor-free samples are {vH - 2}-degenerate, "
-        f"hence colorable from any lists of size {vH - 1}",
-        "isolated_sampling_summary",
-        {"graph": to_graph6(F), "k": k, "count": cfg.sample_count,
-         "max_n": cfg.sample_max_vertices, "edge_prob": cfg.edge_prob, "seed": seed},
-        counts,
-        witness={"violations": violations},
-    )
+        claim = (f"up to isomorphism, {len(violations)} graphs on at most {N} vertices have "
+                 f"minimum degree >= {vH - 1} and no padded-pattern minor")
+    else:
+        claim = (f"no padded-pattern-minor-free graph on at most {N} vertices has degeneracy "
+                 f">= {vH - 1}, hence each is colorable from any lists of size {vH - 1}")
+    report.certify(claim, "isolated_degeneracy_sweep", {"graph": to_graph6(F), "k": k}, sweep,
+                   exhaustive=True)
     report.certified_bound = vH - 1
     _certify_complete_list_chromatic(report, vH - 1)
     report.certify(
@@ -413,69 +413,63 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
     return report
 
 
-def _isolated_samples(H: Graph, seed: int, count: int, max_n: int, edge_prob: float) -> tuple[dict, list]:
-    """Sample ``count`` random graphs of order at most ``max_n`` and check each
-    one without an H minor for (v(H)-2)-degeneracy; return the counts and the
-    violations.
+def _degeneracy_sweep(H: Graph) -> dict:
+    """Search every graph on v(H)..N vertices, N = min(8, v(H) + 2), of
+    minimum degree >= v(H) - 1 for an H minor, one per isomorphism class;
+    return N, the orders swept, the number of graphs and the violations, the
+    graphs without an H minor (graph6 and degeneracy).
 
-    Sample i draws its order n_i with ``randint(1, max_n)``, then one
-    ``random()`` per pair u < v in that order, keeping the pair when the draw
-    is below ``edge_prob``.
-
-    A sample on n_i < v(H) vertices is settled by proof. A minor model of H
-    needs v(H) disjoint non-empty branch sets, so it has no H minor; and each
-    of its degrees is at most n_i - 1 <= v(H) - 2, so its degeneracy is at
-    most v(H) - 2. It counts once in each of ``minor_free``,
-    ``degenerate_ok`` and ``coloring_ok`` and is never a violation. Its pairs
-    are still drawn, so every later sample is the same; when v(H) > max_n
-    every sample is such a sample and nothing is drawn at all.
-
-    ``coloring_ok`` counts the samples colourable from any lists of size
-    v(H)-1, and equals ``degenerate_ok`` by proof rather than by trial:
-    coloured greedily in reverse degeneracy order, each vertex of such a
-    sample has at most v(H)-2 neighbours coloured before it, so its list
-    always has a free colour.
+    This decides whether some H-minor-free graph on at most N vertices has
+    degeneracy >= v(H) - 1. Such a graph has a (v(H)-1)-core C, a subgraph
+    and so H-minor-free as well, of minimum degree >= v(H) - 1 and so on at
+    least v(H) vertices; conversely each swept graph is its own core. The
+    complement of C has maximum degree <= |C| - v(H) <= 2, which
+    ``_dense_cores`` lists. The cap of 8 scales with FORGE_GUARD_OVERRIDE;
+    when v(H) exceeds it nothing is swept, since a graph on fewer than v(H)
+    vertices has degeneracy at most v(H) - 2.
     """
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, not {count}")
-    if not 0 <= edge_prob <= 1:
-        raise ValueError(f"edge probability must lie in [0, 1], not {edge_prob}")
-    if max_n < 1:
-        raise ValueError(f"largest sampled order must be at least 1, not {max_n}")
-    check_size(max_n, ISOLATED_SAMPLE_MAX_ORDER, "largest sampled order for pipeline_isolated")
-    check_size(count, ISOLATED_SAMPLE_MAX_COUNT, "sample count for pipeline_isolated")
     vH = H.n
-    if vH > max_n:
-        return {"minor_free": count, "degenerate_ok": count, "coloring_ok": count}, []
-    rng = random.Random(seed)
-    counts = {"minor_free": 0, "degenerate_ok": 0, "coloring_ok": 0}
-    violations = []
-    for i in range(count):
-        n_i = rng.randint(1, max_n)
-        if n_i < vH:
-            for _ in range(n_i * (n_i - 1) // 2):
-                rng.random()
-            counts["minor_free"] += 1
-            counts["degenerate_ok"] += 1
-            counts["coloring_ok"] += 1
-            continue
-        rows = [0] * n_i
-        for u in range(n_i):
-            for v in range(u + 1, n_i):
-                if rng.random() < edge_prob:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        sample = Graph(n_i, tuple(rows))
-        if contains_minor(sample, H) is not None:
-            continue
-        counts["minor_free"] += 1
-        d, _ = degeneracy(sample)
-        if d <= vH - 2:
-            counts["degenerate_ok"] += 1
-            counts["coloring_ok"] += 1
-        else:
-            violations.append({"index": i, "graph": to_graph6(sample), "degeneracy": d})
-    return counts, violations
+    top = min(guard_limit(ISOLATED_SWEEP_MAX_ORDER), vH + 2)
+    orders = list(range(vH, top + 1))
+    graphs, violations = 0, []
+    for c in orders:
+        for G in _dense_cores(c, c - vH):
+            graphs += 1
+            if contains_minor(G, H) is None:
+                violations.append({"graph": to_graph6(G), "degeneracy": degeneracy(G)[0]})
+    return {"max_order": top, "orders": orders, "graphs": graphs, "violations": violations}
+
+
+def _dense_cores(c: int, d: int):
+    """Every graph on c vertices whose complement has maximum degree at most
+    d <= 2, once up to isomorphism.
+
+    Such a complement is a disjoint union of paths and, when d = 2, cycles,
+    and its isomorphism class is the multiset of its component shapes
+    (order, is_cycle): a path or cycle on s vertices has maximum degree
+    min(s - 1, 2), and a cycle needs s >= 3. Each multiset is built once, as
+    a sequence of shapes in the order of ``shapes``, and yields K_c minus
+    that union.
+    """
+    shapes = [(s, cyc) for s in range(c, 0, -1) for cyc in (True, False)
+              if min(s - 1, 2) <= d and (s >= 3 or not cyc)]
+
+    def unions(rest: int, first: int):
+        if rest == 0:
+            yield []
+        for i in range(first, len(shapes)):
+            if shapes[i][0] <= rest:
+                for tail in unions(rest - shapes[i][0], i):
+                    yield [shapes[i], *tail]
+
+    for union in unions(c, 0):
+        removed, start = [], 0
+        for s, cyc in union:
+            removed += [(v, v + 1) for v in range(start, start + s - 1)]
+            if cyc:
+                removed.append((start, start + s - 1))
+            start += s
+        yield complement(Graph.from_edges(c, removed))
 
 
 @_timed
@@ -591,9 +585,8 @@ def _op_pasting_minor_free(args):
     return contains_minor(k_fold_pasting(spec), parse_graph6(args["pattern"])) is None
 
 
-def _op_isolated_sampling_summary(args):
-    H = add_isolated_vertices(parse_graph6(args["graph"]), args["k"])
-    return _isolated_samples(H, args["seed"], args["count"], args["max_n"], args["edge_prob"])[0]
+def _op_isolated_degeneracy_sweep(args):
+    return _degeneracy_sweep(add_isolated_vertices(parse_graph6(args["graph"]), args["k"]))
 
 
 def _op_best_induced_connectivity(args):
@@ -611,7 +604,7 @@ REPLAY_OPS = {
     "property_q_verdict": _op_property_q_verdict,
     "minor_free_all_induced": _op_minor_free_all_induced,
     "pasting_minor_free": _op_pasting_minor_free,
-    "isolated_sampling_summary": _op_isolated_sampling_summary,
+    "isolated_degeneracy_sweep": _op_isolated_degeneracy_sweep,
     "best_induced_connectivity": _op_best_induced_connectivity,
 }
 

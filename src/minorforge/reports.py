@@ -196,8 +196,8 @@ def load_report_dict(path: str | Path) -> dict:
 
 # INI values arrive as strings; the annotations of the numeric fields name
 # the type to convert them to, and the values a field may hold once read.
-_INI_NUMBERS = {"int": int, "int | None": int, "float": float}
-_NUMBER_VALUES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float)}
+_INI_NUMBERS = {"int": int, "int | None": int}
+_NUMBER_VALUES = {"int": (int,), "int | None": (int, type(None))}
 
 
 @dataclass
@@ -210,9 +210,6 @@ class ExperimentConfig:
     seed: int | None = None
     output_dir: str | None = None
     attempts: int = 200
-    sample_count: int = 300
-    sample_max_vertices: int = 8
-    edge_prob: float = 0.5
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -249,6 +246,5 @@ class ExperimentConfig:
                 except ValueError:
                     raise ValueError(f"config key {key} in {path} is not a number: {value!r}") from None
             if isinstance(value, bool) or not isinstance(value, _NUMBER_VALUES[kind]):
-                expected = "a number" if kind == "float" else "an integer"
-                raise ValueError(f"config key {key} in {path} must be {expected}, not {value!r}")
+                raise ValueError(f"config key {key} in {path} must be an integer, not {value!r}")
         return cls(**data)

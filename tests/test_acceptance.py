@@ -240,9 +240,7 @@ def test_criterion_10_pipelines_end_to_end():
                         {"delta": Fraction(1, 10), "p": Fraction(1, 20), "D": Fraction(2)},
                         conn_cfg,
                     ).to_dict(),
-                    pipeline_isolated(
-                        complete_graph(3), 3, ExperimentConfig(seed=7, sample_count=300)
-                    ).to_dict(),
+                    pipeline_isolated(complete_graph(3), 3, ExperimentConfig(seed=7)).to_dict(),
                     mader_step_check(complete_graph(6)).to_dict(),
                 )
             )

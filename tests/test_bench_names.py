@@ -47,13 +47,12 @@ def test_minor_search_calls_is_connected_subset_by_name(monkeypatch):
 
 def test_isolated_sampler_calls_contains_minor_by_name(monkeypatch):
     """The tracer counts ``minors.contains_minor.calls`` through the name
-    ``pipelines.contains_minor`` as well; the isolated sampler must search
-    each sample of order at least v(H) through that name, once, and no
-    smaller sample, so the count falls only by the samples settled by proof."""
-    import random
-
+    ``pipelines.contains_minor`` as well; the isolated pipeline must search
+    each graph of its degeneracy sweep through that name, once, and nothing
+    else: 1 + 4 + 46 = 51 graphs of orders 6-8 for K3 + 3K1, and none for
+    K4 + 5K1, whose order 9 is above the sweep's cap of 8."""
     from minorforge import pipelines
-    from minorforge.graphs import add_isolated_vertices, complete_graph
+    from minorforge.graphs import complete_graph
 
     searched = []
     original = pipelines.contains_minor
@@ -63,21 +62,11 @@ def test_isolated_sampler_calls_contains_minor_by_name(monkeypatch):
         return original(G, H, *args, **kwargs)
 
     monkeypatch.setattr(pipelines, "contains_minor", counting)
-    seed, count, max_n = 7, 300, 8
-    rng = random.Random(seed)
-    orders = []
-    for _ in range(count):
-        orders.append(rng.randint(1, max_n))
-        for _ in range(orders[-1] * (orders[-1] - 1) // 2):
-            rng.random()
-
-    H = add_isolated_vertices(complete_graph(3), 3)
-    pipelines._isolated_samples(H, seed, count, max_n, 0.5)
-    assert searched == [n for n in orders if n >= H.n]
-    assert 0 < len(searched) < count
+    pipelines.pipeline_isolated(complete_graph(3), 3)
+    assert searched == [6] + [7] * 4 + [8] * 46
 
     searched.clear()
-    pipelines._isolated_samples(add_isolated_vertices(complete_graph(4), 5), seed, count, max_n, 0.5)
+    pipelines.pipeline_isolated(complete_graph(4), 5)
     assert searched == []
 
 

@@ -221,6 +221,15 @@ class TestPasting:
         )
         assert data == {"certified": True, "bound": 3, "copies": 2, "colorings_checked": 2}
 
+    def test_empty_universe_is_an_error(self, runner):
+        # |A| = 1, |B| = 0 leaves the universe [1..0] empty: this reported a
+        # 0-fold pasting with copies = 0
+        result = runner.invoke(main, ["verify-pasting-bound", "--graph", "@", "--part-a", "0",
+                                      "--part-b", "", "-d", "0"])
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
+            "Error: the universe [1..|A|+|B|-1] is empty while A is not"]
+
 
 class TestPipelines:
     def test_conn_writes_run_dir_and_replays(self, runner, tmp_path):
@@ -244,7 +253,7 @@ class TestPipelines:
     def test_missing_inputs_are_named(self, runner):
         for args, missing in ((["conn", "--graph", "Bw", "--seed", "1"], "epsilon"),
                               (["random", "--seed", "1"], "n and epsilon"),
-                              (["isolated", "--graph", "Bw", "--seed", "1"], "k")):
+                              (["isolated", "--graph", "Bw"], "k")):
             result = runner.invoke(main, ["pipeline", *args])
             assert result.exit_code != 0
             assert f"needs {missing}" in result.output
@@ -290,15 +299,11 @@ class TestPipelines:
         assert data["verdict"] == "completed"
 
         isolated = tmp_path / "isolated.ini"
-        isolated.write_text(
-            "[run]\ngraph = " + to_graph6(complete_graph(3)) + "\nseed = 7\nsample_count = 5\n"
-            "sample_max_vertices = 6\nedge_prob = 0.25\n\n[params]\nk = 3\n"
-        )
+        isolated.write_text("[run]\ngraph = " + to_graph6(complete_graph(3)) + "\n\n[params]\nk = 3\n")
         data = invoke_json(runner, ["pipeline", "isolated", "--config", str(isolated)])
-        summary = next(c for c in data["certified"] if c["replay"]["op"] == "isolated_sampling_summary")
-        assert summary["replay"]["args"]["count"] == 5
-        assert summary["replay"]["args"]["max_n"] == 6
-        assert summary["replay"]["args"]["edge_prob"] == 0.25
+        assert data["params"] == {"graph": to_graph6(complete_graph(3)), "k": 3}
+        data = invoke_json(runner, ["pipeline", "isolated", "--config", str(isolated), "-k", "4"])
+        assert data["params"]["k"] == 4
 
     def test_config_params_the_pipeline_does_not_read_are_errors(self, runner, tmp_path):
         cfg = tmp_path / "random.json"
@@ -319,13 +324,15 @@ class TestPipelines:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert "config key attempts" in result.output
 
-    def test_isolated(self, runner):
-        data = invoke_json(
-            runner,
-            ["pipeline", "isolated", "--graph", to_graph6(complete_graph(3)), "-k", "3",
-             "--seed", "7", "--samples", "40"],
-        )
-        assert data["verdict"] == "completed"
+    def test_isolated(self, runner, tmp_path):
+        # deterministic: no seed is asked for, and the report replays
+        out = tmp_path / "run"
+        data = invoke_json(runner, ["pipeline", "isolated", "--graph", "Bw", "-k", "3", "--out", str(out)])
+        assert data["verdict"] == "completed" and data["seed"] is None
+        replayed = invoke_json(runner, ["replay", "--report", str(out / "report.json")])
+        assert replayed["all_reproduced"] is True
+        result = runner.invoke(main, ["pipeline", "isolated", "--graph", "Bw", "-k", "3", "--seed", "7"])
+        assert result.exit_code == 2 and "--seed" in result.output
 
     def test_readme_random_example_completes_and_replays(self, runner, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -340,6 +347,13 @@ class TestPipelines:
         assert len(replayed["lines"]) == len(data["certified"])
         assert all(line["ok"] for line in replayed["lines"])
 
+    def test_random_c_follows_the_given_d(self, runner):
+        # C used to be derived from (delta, p) alone, a fraction with a
+        # 62-digit numerator beside D = 3/2
+        data = invoke_json(runner, ["pipeline", "random", "-n", "6", "--epsilon", "4/5", "--delta", "1/6",
+                                    "-p", "1/6", "-D", "3/2", "--seed", "42"])
+        assert (data["params"]["D"], data["params"]["C"]) == ("3/2", "81")
+
     def test_random_derived_defaults_write_a_report(self, runner, tmp_path):
         out = tmp_path / "run"
         data = invoke_json(runner, ["pipeline", "random", "-n", "8", "--epsilon", "1/2", "--seed", "1",
@@ -349,21 +363,11 @@ class TestPipelines:
         assert replayed["all_reproduced"] is True
 
     def test_out_of_range_run_settings_are_errors(self, runner):
-        # each was accepted: attempts -3 went into the report, -4 samples at
-        # edge probability 1.7 certified "all 0 ... samples", order 20 was
-        # clamped to 8, and order 0 failed inside randrange
-        isolated = ["isolated", "--graph", "Bw", "-k", "3", "--seed", "7"]
-        for args, message in (
-            (["conn", "--graph", to_graph6(complete_graph(6)), "--epsilon", "3/10", "--seed", "42",
-              "--attempts", "-3"], "attempts must be nonnegative"),
-            ([*isolated, "--samples", "-4"], "sample count must be nonnegative"),
-            ([*isolated, "--edge-prob", "1.7"], "edge probability must lie in [0, 1]"),
-            ([*isolated, "--max-n", "20"], "exceeding the size guard of 8"),
-            ([*isolated, "--max-n", "0"], "largest sampled order must be at least 1"),
-        ):
-            result = runner.invoke(main, ["pipeline", *args])
-            assert result.exit_code == 1, args
-            assert message in result.output, (args, result.output)
+        # attempts -3 was accepted and went into the report
+        result = runner.invoke(main, ["pipeline", "conn", "--graph", to_graph6(complete_graph(6)),
+                                      "--epsilon", "3/10", "--seed", "42", "--attempts", "-3"])
+        assert result.exit_code == 1
+        assert "attempts must be nonnegative" in result.output
 
     def test_random(self, runner):
         data = invoke_json(

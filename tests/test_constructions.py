@@ -308,6 +308,10 @@ class TestPastingLowerBound:
                             missing.add((i, j))
                     F = two_clique_graph(a, b, missing)
                     part = TwoCliquePartition(F, (1 << a) - 1, ((1 << (a + b)) - 1) ^ ((1 << a) - 1), slack)
+                    if (a, b) == (1, 0):  # the universe [1..0] is empty: a 0-fold pasting
+                        with pytest.raises(ValueError, match="universe"):
+                            check_pasting_lower_bound(part)
+                        continue
                     got = check_pasting_lower_bound(part)
                     assert got.bound == a + b - slack
                     if a + b == 0:

@@ -75,3 +75,22 @@ def test_an_unread_private_name_is_caught():
         "b.py": ast.parse("from .a import _helper\n\nclass _Orphan:\n    x = _helper()\n"),
     }
     assert unread_private_names(trees) == [("a.py", "_LIMIT"), ("b.py", "_Orphan")]
+
+
+def certified_ops(tree: ast.Module) -> list:
+    """The op argument of each ``.certify(claim, op, ...)`` call."""
+    return [node.args[1] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "certify"]
+
+
+def test_certified_ops_are_the_replay_ops():
+    # a certified line whose op has no replay can never replay, and a
+    # replay op that no line names is dead code
+    path = next(path for path in SOURCES if path.name == "pipelines.py")
+    tree = ast.parse(path.read_text(), str(path))
+    ops = certified_ops(tree)
+    assert ops and all(isinstance(op, ast.Constant) and isinstance(op.value, str) for op in ops)
+    registry = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["REPLAY_OPS"])
+    assert {op.value for op in ops} == {key.value for key in registry.keys}
