@@ -119,22 +119,28 @@ def _series_parallel_reduction(host: Graph) -> Graph:
     the host, relabelled 0..k-1 in ascending original order.
     """
     adj = list(host.adj)
-    alive = host.vertex_mask()
-    stack = [v for v in range(host.n) if adj[v].bit_count() <= 2]
+    stack = [v for v, row in enumerate(adj) if row.bit_count() <= 2]
     if not stack:
         return host
+    alive = host.vertex_mask()
+    pop, push = stack.pop, stack.append
     # no step raises a degree, so a stacked vertex keeps degree <= 2
     while stack:
-        v = stack.pop()
-        if not alive >> v & 1:
+        v = pop()
+        vbit = 1 << v
+        if not alive & vbit:
             continue
-        nb = adj[v]
-        alive ^= 1 << v
+        alive ^= vbit
+        nb = rest = adj[v]
         adj[v] = 0
-        for u in bits(nb):
-            adj[u] &= ~(1 << v)
-            adj[u] |= nb & ~(1 << u)  # joins the two neighbours of a degree-2 v
-        stack.extend(u for u in bits(nb) if adj[u].bit_count() <= 2)
+        while rest:  # at most two neighbours, in ascending order
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            # drop v and, for a degree-2 v, join its two neighbours
+            row = adj[u] = (adj[u] | nb) & ~(low | vbit)
+            if row.bit_count() <= 2:
+                push(u)
     keep = bit_list(alive)
     return Graph(len(keep), relabel_rows(adj, keep))
 
@@ -154,15 +160,25 @@ def _elimination_width(G: Graph, stop: int) -> int:
     alive = G.vertex_mask()
     width = 0
     while alive:
-        v = min(bits(alive), key=lambda u: adj[u].bit_count())
-        nb = adj[v]
-        if nb.bit_count() > width:
-            width = nb.bit_count()
+        best = G.n  # above every degree
+        rest = alive
+        while rest:  # the first alive vertex of fewest remaining neighbours
+            low = rest & -rest
+            rest ^= low
+            d = adj[low.bit_length() - 1].bit_count()
+            if d < best:
+                best, vbit = d, low
+        if best > width:
+            width = best
             if width >= stop:
                 return width
-        for u in bits(nb):
-            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
-        alive ^= 1 << v
+        nb = rest = adj[vbit.bit_length() - 1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            adj[u] = (adj[u] | nb) & ~(low | vbit)
+        alive ^= vbit
     return width
 
 

@@ -362,6 +362,8 @@ def pipeline_isolated(F: Graph, k: int, cfg: ExperimentConfig | None = None) -> 
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if F.n + k == 0:
+        raise ValueError("the padded pattern F + kK1 is empty: F has no vertices and k = 0")
     check_size(F.n + k, PIPELINE_ISOLATED_MAX_ORDER, "padded order for pipeline_isolated")
     H = add_isolated_vertices(F, k)
     vH = H.n

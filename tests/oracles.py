@@ -10,9 +10,10 @@ builder's rejection loop that samples every shape, the four hand-written
 pair searches of the two pseudo-random property checkers, the minor
 search over eagerly built candidate lists, the Mader sweep over every
 induced subgraph, the choosability witness search that re-solves every
-node from scratch, and the Alon-Tarsi expansion keyed by degree tuples.
-The exact treewidth is a subset dynamic programme, with no elimination
-heuristic.
+node from scratch, the Alon-Tarsi expansion keyed by degree tuples, and
+the degree-<=2 reduction and elimination width of the minor filters as
+they stood before their low-bit loops. The exact treewidth is a subset
+dynamic programme, with no elimination heuristic.
 """
 
 import math
@@ -33,6 +34,7 @@ from minorforge.graphs import (
     induced_subgraph,
     is_connected_subset,
     mask_of,
+    min_degree,
     nonempty_submasks,
     relabel_rows,
     vertex_connectivity,
@@ -699,3 +701,64 @@ def reference_search_model(host: Graph, pattern: Graph):
         return None
 
     return search(0, host.vertex_mask(), 0)
+
+
+def reference_series_parallel_reduction(host: Graph) -> Graph:
+    """``minors._series_parallel_reduction`` as it stood before its low-bit
+    loop: the same stack order, with ``bits()`` and a generator per step."""
+    adj = list(host.adj)
+    alive = host.vertex_mask()
+    stack = [v for v in range(host.n) if adj[v].bit_count() <= 2]
+    if not stack:
+        return host
+    # no step raises a degree, so a stacked vertex keeps degree <= 2
+    while stack:
+        v = stack.pop()
+        if not alive >> v & 1:
+            continue
+        nb = adj[v]
+        alive ^= 1 << v
+        adj[v] = 0
+        for u in bits(nb):
+            adj[u] &= ~(1 << v)
+            adj[u] |= nb & ~(1 << u)  # joins the two neighbours of a degree-2 v
+        stack.extend(u for u in bits(nb) if adj[u].bit_count() <= 2)
+    keep = bit_list(alive)
+    return Graph(len(keep), relabel_rows(adj, keep))
+
+
+def reference_elimination_width(G: Graph, stop: int) -> int:
+    """``minors._elimination_width`` as it stood before its low-bit loop:
+    the min-degree vertex by ``min(key=...)`` over ``bits()``."""
+    adj = list(G.adj)
+    alive = G.vertex_mask()
+    width = 0
+    while alive:
+        v = min(bits(alive), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        if nb.bit_count() > width:
+            width = nb.bit_count()
+            if width >= stop:
+                return width
+        for u in bits(nb):
+            adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+        alive ^= 1 << v
+    return width
+
+
+def reference_contains_minor(host: Graph, pattern: Graph):
+    """``minors.contains_minor`` with the two frozen filters above, in the
+    same order, ahead of the production ``_search_model``."""
+    from minorforge.minors import _search_model
+
+    if min_degree(pattern) >= 3:
+        reduced = reference_series_parallel_reduction(host)
+        lb = degeneracy(pattern)[0]
+        n = reduced.n
+        if reduced.edge_count() <= (lb - 1) * n - (lb - 1) * lb // 2 and (
+            reference_elimination_width(reduced, lb) < lb
+        ):
+            return None
+        if reduced.n < host.n and _search_model(reduced, pattern) is None:
+            return None
+    return _search_model(host, pattern)

@@ -334,6 +334,12 @@ class TestPipelines:
         result = runner.invoke(main, ["pipeline", "isolated", "--graph", "Bw", "-k", "3", "--seed", "7"])
         assert result.exit_code == 2 and "--seed" in result.output
 
+    def test_isolated_empty_padded_pattern_is_one_error(self, runner):
+        result = runner.invoke(main, ["pipeline", "isolated", "--graph", "?", "-k", "0"])
+        assert result.exit_code == 1
+        assert [line for line in result.output.splitlines() if line.startswith("Error:")] == [
+            "Error: the padded pattern F + kK1 is empty: F has no vertices and k = 0"]
+
     def test_readme_random_example_completes_and_replays(self, runner, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         line = next(text for text in readme.read_text().splitlines()

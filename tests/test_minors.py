@@ -41,8 +41,15 @@ from minorforge.minors import (
 )
 from minorforge.random_models import sample_bipartite
 
-from .conftest import random_graph
-from .oracles import exact_treewidth, reference_minor_free_all_induced, reference_search_model
+from .conftest import random_graph, random_graph_corpus
+from .oracles import (
+    exact_treewidth,
+    reference_contains_minor,
+    reference_elimination_width,
+    reference_minor_free_all_induced,
+    reference_search_model,
+    reference_series_parallel_reduction,
+)
 
 
 class TestVerifyModel:
@@ -454,15 +461,26 @@ class TestSeriesParallelFilter:
         assert model is not None and verify_model(cycle, complete_graph(3), model)
 
 
+def grid(rows: int, cols: int) -> Graph:
+    return Graph.from_edges(rows * cols, [(r * cols + c, r * cols + c + 1)
+                                          for r in range(rows) for c in range(cols - 1)]
+                            + [(r * cols + c, r * cols + c + cols)
+                               for r in range(rows - 1) for c in range(cols)])
+
+
+def prism(n: int) -> Graph:
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, rim + [(u + n, v + n) for u, v in rim]
+                            + [(i, i + n) for i in range(n)])
+
+
 CUBE = Graph.from_edges(8, [(u, u | 1 << i) for u in range(8) for i in range(3) if not u >> i & 1])
 
 
 class TestEliminationWidthFilter:
     def test_exact_treewidth_oracle_on_known_graphs(self, petersen):
-        grid = Graph.from_edges(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3) for c in range(2)]
-                                + [(r * 3 + c, r * 3 + c + 3) for r in range(2) for c in range(3)])
         known = [(empty_graph(0), -1), (empty_graph(3), 0), (path_graph(6), 1), (cycle_graph(7), 2),
-                 (complete_graph(6), 5), (complete_bipartite_graph(3, 3), 3), (grid, 3),
+                 (complete_graph(6), 5), (complete_bipartite_graph(3, 3), 3), (grid(3, 3), 3),
                  (CUBE, 3), (petersen, 4)]
         for G, tw in known:
             assert exact_treewidth(G) == tw, G
@@ -515,11 +533,9 @@ class TestEliminationWidthFilter:
         whole and its elimination width is 4 = degeneracy(K5), so only the
         search answers. Asking only for one free neighbour per placed branch
         set, as the search once did, costs 109,239 connectivity tests here."""
-        rim = [(i, (i + 1) % 6) for i in range(6)]
-        prism = Graph.from_edges(12, rim + [(u + 6, v + 6) for u, v in rim]
-                                 + [(i, i + 6) for i in range(6)])
-        assert _series_parallel_reduction(prism) == prism
-        assert _elimination_width(prism, 4) == 4
+        host = prism(6)
+        assert _series_parallel_reduction(host) == host
+        assert _elimination_width(host, 4) == 4
         calls = 0
         original = minors.is_connected_subset
 
@@ -529,8 +545,99 @@ class TestEliminationWidthFilter:
             return original(G, S)
 
         monkeypatch.setattr(minors, "is_connected_subset", counting)
-        assert contains_minor(prism, complete_graph(5)) is None
+        assert contains_minor(host, complete_graph(5)) is None
         assert 0 < calls < 75_000
+
+
+class TestFilterLoopsMatchFrozen:
+    """The low-bit loops of the two filters return exactly what the frozen
+    generator-based versions return: every reduced host, row for row, and
+    every width at every early stop."""
+
+    def assert_same(self, G):
+        reduced = _series_parallel_reduction(G)
+        assert reduced == reference_series_parallel_reduction(G), G
+        for H in (G, reduced):
+            for stop in range(1, 7):
+                assert _elimination_width(H, stop) == reference_elimination_width(H, stop), (H, stop)
+
+    def test_atlas(self):
+        import networkx as nx
+
+        atlas = nx.graph_atlas_g()  # every graph of order 0..7
+        assert len(atlas) == 1253
+        for g in atlas:
+            self.assert_same(Graph.from_edges(g.number_of_nodes(), g.edges()))
+
+    def test_random_hosts_of_order_8_to_12(self):
+        hosts = random_graph_corpus(seed=67, count=400, max_n=12, min_n=8)
+        partly_reduced = 0
+        for G in hosts:
+            self.assert_same(G)
+            partly_reduced += 0 < _series_parallel_reduction(G).n < G.n
+        assert partly_reduced >= 20
+
+    def test_models_equal_the_frozen_path(self):
+        patterns = [complete_graph(4), complete_graph(5), complete_bipartite_graph(3, 3),
+                    complete_graph(6)]
+        rng = random.Random(68)
+        hosts = [random_graph(rng, rng.randint(6, 10), rng.choice([0.25, 0.4, 0.55, 0.7]))
+                 for _ in range(120)]
+        hosts += [glued_minor_free_pair(rng, pattern, vertex_connectivity(pattern), max_n=6)
+                  for pattern in patterns[:3] for _ in range(10)]
+        found = 0
+        for host in hosts:
+            for pattern in patterns:
+                model = contains_minor(host, pattern)
+                assert model == reference_contains_minor(host, pattern), (host, pattern)
+                found += model is not None
+        assert 0 < found < 4 * len(hosts)
+
+
+class SearchedOriginalHost(AssertionError):
+    pass
+
+
+class TestFilterDecidedQueriesSkipTheSearch:
+    """Negatives the filters settle never reach ``_search_model`` on the
+    original host; a host that loses no vertex still does."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        original = minors._search_model
+
+        def arm(host):
+            def spying(G, pattern):
+                if G.n == host.n:
+                    raise SearchedOriginalHost(f"searched the host of order {G.n}")
+                return original(G, pattern)
+
+            monkeypatch.setattr(minors, "_search_model", spying)
+
+        return arm
+
+    def test_k4_minor_free_clique_sums(self, spy):
+        # two outerplanar graphs glued on an edge, and seeded glued pairs
+        chorded_c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)] + [(0, 2)])
+        chorded_c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+        hosts = [clique_sum(CliqueSumSpec.from_mapping(chorded_c5, chorded_c6, {0: 0, 1: 1}))]
+        rng = random.Random(69)
+        hosts += [glued_minor_free_pair(rng, complete_graph(4), 3) for _ in range(20)]
+        for host in hosts:
+            spy(host)
+            assert contains_minor(host, complete_graph(4)) is None
+
+    def test_grid_3x4_against_k5(self, spy):
+        host = grid(3, 4)
+        spy(host)
+        assert contains_minor(host, complete_graph(5)) is None
+
+    def test_prism_6_loses_no_vertex_and_is_searched(self, spy):
+        host = prism(6)
+        assert _series_parallel_reduction(host) == host
+        spy(host)
+        with pytest.raises(SearchedOriginalHost):
+            contains_minor(host, complete_graph(5))
 
 
 class TestSearchWithoutFilter:

@@ -261,6 +261,14 @@ class TestPipelineIsolated:
         with pytest.raises(SizeGuardError):
             pipeline_isolated(complete_graph(3), 7)
 
+    def test_empty_padded_pattern_is_named(self):
+        # this ended with "negative shift count" from complete_graph(-1),
+        # after the pad and sweep steps had run
+        with pytest.raises(ValueError, match=r"padded pattern F \+ kK1 is empty"):
+            pipeline_isolated(empty_graph(0), 0)
+        report = pipeline_isolated(empty_graph(0), 1)
+        assert report.verdict == "completed" and report.certified_bound == 0
+
     def test_sandwich_line_above_the_list_chromatic_guard(self, monkeypatch):
         # v(H) - 1 = 17 is above the scaled guard of 16: the value used to be
         # left uncertified with a note; now the sandwich line certifies it
